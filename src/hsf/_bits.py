@@ -4,10 +4,15 @@ Convention used everywhere in this package: variables are 0-based, bit j of a
 row index corresponds to variable j, and a set bit means the variable takes the
 value -1.  Variable sets are plain Python ints read as bitmasks, so the parity
 function of a set S evaluates to (-1)**popcount(k & S) at row k.
+
+Reshaped to (2,)*n in C order, a table puts the highest bit on axis 0, so
+variable c sits on axis n-1-c; whole-table reindexing (transposes, head
+blocks, broadcasting over variables a function ignores) works on that view.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 
 import numpy as np
@@ -23,12 +28,19 @@ def bit_positions(mask: int) -> list[int]:
     return [j for j in range(int(mask).bit_length()) if (mask >> j) & 1]
 
 
+@functools.cache
 def popcounts(n: int) -> np.ndarray:
-    """Popcount of every index in [0, 2**n), as a uint8 array."""
-    idx = np.arange(1 << n, dtype=np.uint32)
+    """Popcount of every index in [0, 2**n), as a read-only uint8 array.
+
+    Built by doubling in one preallocated array (the upper half of each prefix
+    is the lower half plus one) and memoized per n.
+    """
     counts = np.zeros(1 << n, dtype=np.uint8)
-    for j in range(n):
-        counts += ((idx >> j) & 1).astype(np.uint8)
+    s = 1
+    while s < counts.size:
+        np.add(counts[:s], 1, out=counts[s:2 * s])
+        s *= 2
+    counts.setflags(write=False)
     return counts
 
 

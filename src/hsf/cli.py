@@ -21,27 +21,24 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__, _bits
-from . import junta as junta_mod
 from .errors import HsfError, InvalidInputError
 from .fncore import random_function, wht
-from .junta import TheoremConfig, extract_junta, theorem_verify
+from .junta import TheoremConfig, extract_junta, prepare, theorem_verify
 from .ltf import (
     canonicalize,
     critical_index,
+    head_mask,
     load_ltf_file,
     random_ltf,
     regularity_profile,
-    truth_table,
 )
 from .noise import (
     boolean_pair_quadrant_mc,
     constant_bound_check,
-    degree_weights,
     gaussian_ns_bound,
     gaussian_ns_mc,
     ns_exact,
@@ -71,24 +68,6 @@ _SWEEP_HEADER = (
 _GAUSSIAN_HEADER = "theta,rho,bound,mc_value,mc_radius,holds"
 _CHECKS_HEADER = "check,instance_seed,lhs,rhs,gap,holds"
 _ANALYZE_HEADER = "section,key,value"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything that determines a command's CSV bytes."""
-
-    command: str
-    seed: int
-    max_n: int
-    params: tuple[tuple[str, str], ...]
-
-
-def run_config_of(args: argparse.Namespace) -> RunConfig:
-    skip = {"func", "command", "seed", "max_n", "out", "quiet"}
-    params = tuple(
-        sorted((k, str(v)) for k, v in vars(args).items() if k not in skip)
-    )
-    return RunConfig(command=args.command, seed=args.seed, max_n=args.max_n, params=params)
 
 
 def _fmt(value) -> str:
@@ -159,18 +138,13 @@ def _families(raw: str) -> list[tuple[str, float | None]]:
     return out
 
 
-def _verdict_counts_as_failure(verdict) -> bool:
-    return not verdict.passed
-
-
 def cmd_analyze(args: argparse.Namespace) -> int:
     lt = load_ltf_file(args.ltf)
     prof = regularity_profile(lt)
-    table = truth_table(lt, cap=args.max_n)
-    spectrum = wht(table)
+    instance = prepare(lt, cap=args.max_n)
     taus = _floats(args.taus, "--taus")
     epsilons = _floats(args.epsilons, "--epsilons")
-    weight_by_degree = degree_weights(spectrum)
+    weight_by_degree = instance.spectrum.degree_weights
 
     rows: list[tuple] = [
         ("meta", "n_inputs", lt.n_inputs),
@@ -186,11 +160,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     rows.extend(("sigma", k + 1, float(prof.tail_norms[k])) for k in range(lt.n_active))
     indices = [(tau, critical_index(lt, tau)) for tau in taus]
     rows.extend(("critical_index", tau, ell) for tau, ell in indices)
-    ns_rows = [(eps, ns_exact(spectrum, eps)) for eps in epsilons]
+    ns_rows = [(eps, ns_exact(instance.spectrum, eps)) for eps in epsilons]
     rows.extend(("ns", eps, value) for eps, value in ns_rows)
     rows.extend(
         ("degree_weight", d, float(weight_by_degree[d]))
-        for d in range(table.arity + 1)
+        for d in range(lt.n_inputs + 1)
     )
 
     head_tau, head_ell = next(
@@ -198,8 +172,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         (None, None),
     )
     if head_ell is not None:
-        mask = junta_mod._head_mask(lt, int(head_ell))
-        biases = bias_profile(table, mask, head_cap=max(16, int(head_ell))).biases
+        mask = head_mask(lt, int(head_ell))
+        biases = bias_profile(
+            instance.table, mask, head_cap=max(16, int(head_ell))
+        ).biases
         rows.extend(
             [
                 ("bias", "tau", head_tau),
@@ -288,27 +264,25 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     config = TheoremConfig(c_ns=args.c_ns, c_l=args.c_l, arity_cap=args.max_n)
     rows: list[tuple] = []
     failed = False
-    instance = 0
+    index = 0
     for family, rate in families:
         for _ in range(args.count):
             lt = random_ltf(
                 args.n, family, rate=rate, theta_law=args.theta_law,
-                seed=[args.seed, instance],
+                seed=[args.seed, index],
             )
-            table = truth_table(lt, cap=args.max_n)
-            spectrum = wht(table)
+            instance = prepare(lt, cap=args.max_n)
             for eps in epsilons:
                 for delta in deltas:
-                    report = junta_mod._extract_from_table(
-                        lt, table, spectrum, eps, delta, config
-                    )
+                    report = extract_junta(instance, eps, delta, config)
                     verdict = theorem_verify(report)
-                    failed = failed or _verdict_counts_as_failure(verdict)
+                    failed = failed or not verdict.passed
                     rows.append(
-                        (family, rate, instance, args.n, lt.theta, eps, delta)
+                        (family, rate, index, args.n, lt.theta, eps, delta)
                         + _junta_row(report, verdict)
                     )
-            instance += 1
+            instance = None  # free this table and spectrum before the next
+            index += 1
     _emit_csv(args, _SWEEP_HEADER, rows)
     return 1 if failed else 0
 

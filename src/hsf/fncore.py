@@ -14,15 +14,21 @@ the memory cost).
 
 from __future__ import annotations
 
+import functools
 import io
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _bits
 from .errors import CapExceededError, InvalidInputError
 
 DEFAULT_ARITY_CAP = 20
 MAX_ARITY_CAP = 24
+
+# Entries per np.bincount call when summing degree weights; bounds the
+# temporaries (squares and intp bins) independently of the arity.
+_DEGREE_CHUNK = 1 << 16
 
 
 def _check_arity(n: int, cap: int) -> None:
@@ -81,7 +87,12 @@ class BooleanFunction:
 
 @dataclass(frozen=True)
 class FourierSpectrum:
-    """All 2**arity Fourier coefficients, indexed by variable-set bitmask."""
+    """All 2**arity Fourier coefficients, indexed by variable-set bitmask.
+
+    A writable coefficient array is copied; a read-only float64 array is
+    taken as frozen and kept as is, so :func:`wht` hands over its result
+    without a second copy.
+    """
 
     arity: int
     coefficients: np.ndarray
@@ -93,13 +104,39 @@ class FourierSpectrum:
                 f"spectrum for arity {self.arity} needs {1 << self.arity} coefficients, "
                 f"got shape {coeffs.shape}"
             )
-        coeffs = coeffs.copy()
-        coeffs.setflags(write=False)
+        if coeffs.flags.writeable:
+            coeffs = coeffs.copy()
+            coeffs.setflags(write=False)
         object.__setattr__(self, "coefficients", coeffs)
 
     def total_weight(self) -> float:
         """Sum of squared coefficients (1.0 for a +-1-valued function)."""
         return float(np.dot(self.coefficients, self.coefficients))
+
+    @functools.cached_property
+    def degree_weights(self) -> np.ndarray:
+        """Read-only squared coefficient mass per degree, computed on first use.
+
+        Entry d sums the squares over |S| = d strictly in index order: each
+        chunk goes through one np.bincount whose first n + 1 entries carry the
+        running per-degree totals, so the sums equal a single bincount over
+        the whole array bit for bit.
+        """
+        n = self.arity
+        counts = _bits.popcounts(n)
+        bins = np.empty(n + 1 + _DEGREE_CHUNK, dtype=np.intp)
+        bins[:n + 1] = np.arange(n + 1)
+        terms = np.empty(n + 1 + _DEGREE_CHUNK)
+        totals = np.zeros(n + 1)
+        for lo in range(0, self.coefficients.size, _DEGREE_CHUNK):
+            chunk = self.coefficients[lo:lo + _DEGREE_CHUNK]
+            end = n + 1 + chunk.size
+            bins[n + 1:end] = counts[lo:lo + chunk.size]
+            np.multiply(chunk, chunk, out=terms[n + 1:end])
+            terms[:n + 1] = totals
+            totals = np.bincount(bins[:end], weights=terms[:end], minlength=n + 1)
+        totals.setflags(write=False)
+        return totals
 
 
 def from_values(arity: int, values, cap: int = DEFAULT_ARITY_CAP) -> BooleanFunction:
@@ -130,6 +167,7 @@ def wht(f: BooleanFunction) -> FourierSpectrum:
     """
     coeffs = _butterfly(f.values)
     coeffs /= float(f.values.size)
+    coeffs.setflags(write=False)
     return FourierSpectrum(f.arity, coeffs)
 
 

@@ -30,9 +30,9 @@ import numpy as np
 from . import _bits
 from .errors import CapExceededError, InvalidInputError
 from .fncore import DEFAULT_ARITY_CAP, BooleanFunction, FourierSpectrum, distance, wht
-from .ltf import Ltf, critical_index, truth_table
+from .ltf import Ltf, critical_index, head_mask, truth_table
 from .noise import CHECK_TOL, ns_exact
-from .restriction import DEFAULT_HEAD_CAP, bias_profile, embed_junta
+from .restriction import DEFAULT_HEAD_CAP, BiasProfile, bias_profile, embed_junta
 
 
 class JuntaCase(str, enum.Enum):
@@ -125,12 +125,42 @@ class Verdict:
 
 @dataclass(frozen=True)
 class HeadProjection:
-    """Junta built by overwriting unbiased head blocks and projecting."""
+    """Junta built by overwriting unbiased head blocks and projecting.
+
+    ``profile`` is the bias profile of the head the projection was read from.
+    """
 
     approximator: BooleanFunction
     certified: bool
     residual_sq: float
     frac_unbiased: float
+    profile: BiasProfile
+
+
+@dataclass(frozen=True)
+class Instance:
+    """A threshold function with its exact truth table and spectrum.
+
+    Built once by :func:`prepare` and shared by every extraction on the same
+    function, so the per-instance work is not repeated per (eps, delta).
+    """
+
+    ltf: Ltf
+    table: BooleanFunction
+    spectrum: FourierSpectrum
+
+    def __post_init__(self) -> None:
+        if not self.ltf.n_inputs == self.table.arity == self.spectrum.arity:
+            raise InvalidInputError(
+                f"arities disagree: ltf {self.ltf.n_inputs}, table {self.table.arity}, "
+                f"spectrum {self.spectrum.arity}"
+            )
+
+
+def prepare(ltf: Ltf, cap: int = DEFAULT_ARITY_CAP) -> Instance:
+    """Truth table and spectrum of ``ltf``, for repeated extraction."""
+    table = truth_table(ltf, cap=cap)
+    return Instance(ltf, table, wht(table))
 
 
 def junta_budget(epsilon: float, delta: float, c_l: float = 1.0) -> int:
@@ -168,9 +198,12 @@ def best_junta_on(
     f: BooleanFunction, head: int, head_cap: int = DEFAULT_HEAD_CAP
 ) -> BooleanFunction:
     """Distance-optimal junta on the head coordinates: sign of each block bias."""
-    prof = bias_profile(f, head, head_cap=head_cap)
+    return _bias_signs(bias_profile(f, head, head_cap=head_cap))
+
+
+def _bias_signs(prof: BiasProfile) -> BooleanFunction:
     return BooleanFunction(
-        _bits.popcount(head), np.where(prof.biases >= 0.0, 1, -1).astype(np.int8)
+        _bits.popcount(prof.head), np.where(prof.biases >= 0.0, 1, -1).astype(np.int8)
     )
 
 
@@ -201,6 +234,7 @@ def head_projection(
         certified=frac <= delta,
         residual_sq=residual_sq,
         frac_unbiased=frac,
+        profile=prof,
     )
 
 
@@ -217,35 +251,31 @@ def _constant_function(sign_value: float) -> BooleanFunction:
 
 
 def extract_junta(
-    ltf: Ltf, epsilon: float, delta: float, config: TheoremConfig | None = None
+    instance: Instance | Ltf,
+    epsilon: float,
+    delta: float,
+    config: TheoremConfig | None = None,
 ) -> JuntaReport:
     """Classify a threshold function and build its junta approximator.
 
-    Branch order is part of the contract: the small-delta guard
-    delta^(1/(1-eps)) < sqrt(eps) is checked first and yields a constant; then
-    the critical index at tau = eps decides between a constant (index 1), a
-    head construction (index within budget: projection when few head blocks
-    are unbiased, otherwise the premise-violation case with a best-effort
-    junta), and the head-budget junta (index beyond budget).
+    ``instance`` is a prepared :class:`Instance`, or an :class:`Ltf` that is
+    prepared on the spot.  Branch order is part of the contract: the
+    small-delta guard delta^(1/(1-eps)) < sqrt(eps) is checked first and
+    yields a constant; then the critical index at tau = eps decides between a
+    constant (index 1), a head construction (index within budget: projection
+    when few head blocks are unbiased, otherwise the premise-violation case
+    with a best-effort junta), and the head-budget junta (index beyond
+    budget).
     """
     config = config or TheoremConfig()
     epsilon, delta = _check_eps_delta(epsilon, delta)
-    if ltf.n_inputs > config.arity_cap:
-        raise CapExceededError(f"arity {ltf.n_inputs} exceeds cap {config.arity_cap}")
-    table = truth_table(ltf, cap=config.arity_cap)
-    return _extract_from_table(ltf, table, wht(table), epsilon, delta, config)
-
-
-def _extract_from_table(
-    ltf: Ltf,
-    table: BooleanFunction,
-    spectrum: FourierSpectrum,
-    epsilon: float,
-    delta: float,
-    config: TheoremConfig,
-) -> JuntaReport:
-    # Shared with the sweep driver, which reuses one table and transform
-    # across many (epsilon, delta) pairs.
+    if isinstance(instance, Ltf):
+        instance = prepare(instance, cap=config.arity_cap)
+    elif instance.ltf.n_inputs > config.arity_cap:
+        raise CapExceededError(
+            f"arity {instance.ltf.n_inputs} exceeds cap {config.arity_cap}"
+        )
+    ltf, table, spectrum = instance.ltf, instance.table, instance.spectrum
     n = table.arity
     ns_value = ns_exact(spectrum, epsilon)
     bound = premise_bound(epsilon, delta, config.c_ns, config.premise_exponent)
@@ -270,7 +300,7 @@ def _extract_from_table(
         guarantee = delta
     elif ell <= budget:
         head_size = int(ell)
-        junta_set = _head_mask(ltf, head_size)
+        junta_set = head_mask(ltf, head_size)
         if head_size > config.head_cap:
             raise CapExceededError(
                 f"critical index {head_size} exceeds head cap {config.head_cap}"
@@ -284,7 +314,7 @@ def _extract_from_table(
             guarantee = 3.0 * delta
         else:
             case = JuntaCase.PREMISE_VIOLATED
-            approx = best_junta_on(table, junta_set, head_cap=config.head_cap)
+            approx = _bias_signs(proj.profile)
             # Lower bound on noise sensitivity implied by the unbiased blocks
             # through the restriction threshold argument; exceeding the
             # premise with it is what this case asserts.
@@ -293,7 +323,7 @@ def _extract_from_table(
     else:
         case = JuntaCase.HEAD_JUNTA
         head_size = min(budget, ltf.n_active)
-        junta_set = _head_mask(ltf, head_size)
+        junta_set = head_mask(ltf, head_size)
         if head_size == ltf.n_active:
             approx = _compress_to(table, junta_set)
         elif head_size <= config.head_cap:
@@ -328,13 +358,6 @@ def _extract_from_table(
         distance=dist,
         diagnostics=diags,
     )
-
-
-def _head_mask(ltf: Ltf, head_size: int) -> int:
-    mask = 0
-    for coord in ltf.original_index[:head_size]:
-        mask |= 1 << int(coord)
-    return mask
 
 
 def theorem_verify(report: JuntaReport, delta: float | None = None) -> Verdict:

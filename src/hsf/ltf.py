@@ -8,7 +8,10 @@ with ties broken by original coordinate.  Canonicalizing twice is the identity.
 Sorted positions are 1-based in user-facing maps and indices (critical index,
 head/tail splits); arrays underneath are 0-based as usual.  All evaluation
 paths accumulate the linear form left to right over sorted positions, so the
-dense truth table and pointwise evaluation agree bit for bit.
+dense truth table and pointwise evaluation agree bit for bit.  The dense table
+is built by doubling over sorted positions: after position p the array holds
+every partial sum over positions 0..p, each reached by that same left-to-right
+sequence of additions, and one transpose then maps it to input bit order.
 """
 
 from __future__ import annotations
@@ -23,8 +26,6 @@ from .errors import CapExceededError, DegenerateLtfError, InvalidInputError
 from .fncore import DEFAULT_ARITY_CAP, BooleanFunction
 
 INFINITE_INDEX = math.inf
-
-_TABLE_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -145,27 +146,46 @@ def evaluate(ltf: Ltf, x) -> int:
 
 def truth_table(ltf: Ltf, cap: int = DEFAULT_ARITY_CAP) -> BooleanFunction:
     """Dense table over all n_inputs variables (dropped coordinates ignored)."""
-    acc = linear_form_table(ltf, cap)
-    values = np.where(acc - ltf.theta >= 0.0, 1, -1).astype(np.int8)
-    return BooleanFunction(ltf.n_inputs, values)
+    acc = _sorted_linear_form(ltf, cap)
+    acc -= ltf.theta
+    signs = np.where(acc >= 0.0, np.int8(1), np.int8(-1))
+    del acc
+    return BooleanFunction(ltf.n_inputs, _to_input_order(ltf, signs))
 
 
 def linear_form_table(ltf: Ltf, cap: int = DEFAULT_ARITY_CAP) -> np.ndarray:
     """w . x at every row of the cube, same accumulation order as truth_table."""
-    n = ltf.n_inputs
-    if n > cap:
-        raise CapExceededError(f"arity {n} exceeds cap {cap}")
-    size = 1 << n
-    out = np.empty(size)
-    for lo in range(0, size, _TABLE_BLOCK):
-        hi = min(lo + _TABLE_BLOCK, size)
-        idx = np.arange(lo, hi, dtype=np.int64)
-        acc = np.zeros(hi - lo)
-        for p in range(ltf.weights.size):
-            col = 1.0 - 2.0 * ((idx >> int(ltf.original_index[p])) & 1)
-            acc += ltf.weights[p] * col
-        out[lo:hi] = acc
-    return out
+    return _to_input_order(ltf, _sorted_linear_form(ltf, cap))
+
+
+def _sorted_linear_form(ltf: Ltf, cap: int) -> np.ndarray:
+    # w . x over the active coordinates, indexed by sorted position: bit p of
+    # the index set means the coordinate at position p is -1.  Position p
+    # doubles the filled prefix, so every entry is 0 +- w_0 +- w_1 ... summed
+    # left to right, exactly as linear_form does.
+    if ltf.n_inputs > cap:
+        raise CapExceededError(f"arity {ltf.n_inputs} exceeds cap {cap}")
+    acc = np.empty(1 << ltf.n_active)
+    acc[0] = 0.0
+    s = 1
+    for w in ltf.weights:
+        np.subtract(acc[:s], w, out=acc[s:2 * s])
+        np.add(acc[:s], w, out=acc[:s])
+        s *= 2
+    return acc
+
+
+def _to_input_order(ltf: Ltf, by_position: np.ndarray) -> np.ndarray:
+    # Reindex a table over sorted positions to input row order, repeating it
+    # across dropped coordinates.  On the (2,)*m cube view position p is axis
+    # m-1-p; on the (2,)*n output coordinate c is axis n-1-c.
+    m, n = ltf.n_active, ltf.n_inputs
+    by_coordinate = np.argsort(-ltf.original_index)
+    cube = by_position.reshape((2,) * m).transpose([m - 1 - int(p) for p in by_coordinate])
+    if ltf.dropped:
+        cube = cube.reshape([1 if c in ltf.dropped else 2 for c in range(n - 1, -1, -1)])
+        cube = np.broadcast_to(cube, (2,) * n)
+    return cube.reshape(-1)
 
 
 def _profile_from_sorted(w: np.ndarray) -> RegularityProfile:
@@ -194,6 +214,14 @@ def critical_index(ltf: Ltf, tau: float) -> int | float:
     if hits.size == 0:
         return INFINITE_INDEX
     return int(hits[0]) + 1
+
+
+def head_mask(ltf: Ltf, size: int) -> int:
+    """Bitmask of the input coordinates at sorted positions 1..size."""
+    mask = 0
+    for coord in ltf.original_index[:size]:
+        mask |= 1 << int(coord)
+    return mask
 
 
 def head_split(ltf: Ltf, ell: int) -> HeadSplit:

@@ -124,10 +124,11 @@ def _check_rho(rho: float) -> float:
 
 
 def degree_weights(spectrum: FourierSpectrum) -> np.ndarray:
-    """Squared coefficient mass per degree: entry d sums over |S| = d."""
-    counts = _bits.popcounts(spectrum.arity)
-    sq = spectrum.coefficients * spectrum.coefficients
-    return np.bincount(counts, weights=sq, minlength=spectrum.arity + 1)
+    """Squared coefficient mass per degree: entry d sums over |S| = d.
+
+    A writable copy of the spectrum's memoized degree weights.
+    """
+    return spectrum.degree_weights.copy()
 
 
 def ns_exact(spectrum: FourierSpectrum, epsilon: float) -> float:
@@ -138,7 +139,7 @@ def ns_exact(spectrum: FourierSpectrum, epsilon: float) -> float:
     """
     epsilon = _check_epsilon(epsilon)
     rho = 1.0 - 2.0 * epsilon
-    weights = degree_weights(spectrum)
+    weights = spectrum.degree_weights
     powers = rho ** np.arange(spectrum.arity + 1, dtype=np.float64)
     return 0.5 - 0.5 * float(np.dot(powers, weights))
 

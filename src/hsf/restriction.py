@@ -160,9 +160,17 @@ def bias_profile(f: BooleanFunction, head: int, head_cap: int = DEFAULT_HEAD_CAP
     h = len(head_pos)
     if h > head_cap:
         raise CapExceededError(f"head size {h} exceeds cap {head_cap}")
-    hidx = np.asarray(_bits.compress_bits(np.arange(f.values.size, dtype=np.int64), head_pos))
-    sums = np.bincount(hidx, weights=f.values.astype(np.float64), minlength=1 << h)
-    return BiasProfile(head=head, biases=sums / (1 << (f.arity - h)))
+    # On the (2,)*n cube view, moving the head axes to the front (highest
+    # coordinate first) makes each row one block, in packed-index order.
+    # Block sums of +-1 entries are exact integers, so the summation order
+    # does not matter.
+    n = f.arity
+    by_coordinate = range(n - 1, -1, -1)
+    axes = [n - 1 - c for c in by_coordinate if (head >> c) & 1]
+    axes += [n - 1 - c for c in by_coordinate if not (head >> c) & 1]
+    blocks = f.values.reshape((2,) * n).transpose(axes).reshape(1 << h, -1)
+    sums = blocks.sum(axis=1, dtype=np.int64)
+    return BiasProfile(head=head, biases=sums / (1 << (n - h)))
 
 
 def restriction_energy_identity(
@@ -232,5 +240,8 @@ def embed_junta(g: BooleanFunction, head: int, arity: int) -> BooleanFunction:
         raise InvalidInputError(
             f"junta arity {g.arity} does not match head size {len(head_pos)}"
         )
-    hidx = np.asarray(_bits.compress_bits(np.arange(1 << arity, dtype=np.int64), head_pos))
-    return BooleanFunction(arity, g.values[hidx])
+    # g's cube view has one axis per head coordinate, highest first, which
+    # lines up with the head axes of the full cube and broadcasts over the rest.
+    shape = [2 if (head >> c) & 1 else 1 for c in range(arity - 1, -1, -1)]
+    cube = np.broadcast_to(g.values.reshape(shape), (2,) * arity)
+    return BooleanFunction(arity, cube.reshape(-1))

@@ -3,7 +3,9 @@
 Everything here deliberately avoids the fast code paths it is used to check:
 the spectrum oracle is the quadratic-time inner-product definition, majority
 tables come straight from popcounts, and the tail-ratio references go through
-mpmath at high precision.
+mpmath at high precision.  The per-instance kernels (linear-form table,
+popcounts, degree weights, junta embedding, bias profiles) are kept here in their original
+blockwise and bit-loop forms, which the fast kernels must match byte for byte.
 """
 
 import mpmath
@@ -58,3 +60,59 @@ def mp_tail_ratio(t: float) -> float:
         tt = mpmath.mpf(t)
         value = mpmath.ncdf(-tt) * (tt + 1) * mpmath.exp(tt * tt / 2)
         return float(value)
+
+
+def slow_linear_form_table(weights, original_index, n: int) -> np.ndarray:
+    """w . x at every row, blockwise over rows, one sorted weight at a time."""
+    size = 1 << n
+    block = 1 << 16
+    out = np.empty(size)
+    for lo in range(0, size, block):
+        hi = min(lo + block, size)
+        idx = np.arange(lo, hi, dtype=np.int64)
+        acc = np.zeros(hi - lo)
+        for p in range(len(weights)):
+            col = 1.0 - 2.0 * ((idx >> int(original_index[p])) & 1)
+            acc += weights[p] * col
+        out[lo:hi] = acc
+    return out
+
+
+def slow_popcounts(n: int) -> np.ndarray:
+    """Popcount of every index in [0, 2**n), one bit at a time, as uint8."""
+    idx = np.arange(1 << n, dtype=np.uint32)
+    counts = np.zeros(1 << n, dtype=np.uint8)
+    for j in range(n):
+        counts += ((idx >> j) & 1).astype(np.uint8)
+    return counts
+
+
+def slow_degree_weights(coefficients: np.ndarray, n: int) -> np.ndarray:
+    """Squared coefficient mass per degree from one plain bincount."""
+    sq = coefficients * coefficients
+    return np.bincount(slow_popcounts(n), weights=sq, minlength=n + 1)
+
+
+def _packed_head_index(head: int, arity: int) -> np.ndarray:
+    # Head bits of every row, gathered into consecutive low bits.
+    rows = np.arange(1 << arity, dtype=np.int64)
+    packed = np.zeros(1 << arity, dtype=np.int64)
+    j = 0
+    for c in range(arity):
+        if (head >> c) & 1:
+            packed |= ((rows >> c) & 1) << j
+            j += 1
+    return packed
+
+
+def slow_embed_junta(values: np.ndarray, head: int, arity: int) -> np.ndarray:
+    """Lift a head-junta table by gathering the head bits of every row."""
+    return values[_packed_head_index(head, arity)]
+
+
+def slow_bias_profile(values: np.ndarray, head: int, arity: int) -> np.ndarray:
+    """Block means of a table by one bincount over the gathered head index."""
+    h = head.bit_count()
+    sums = np.bincount(_packed_head_index(head, arity),
+                       weights=values.astype(np.float64), minlength=1 << h)
+    return sums / (1 << (arity - h))

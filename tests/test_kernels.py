@@ -1,0 +1,173 @@
+"""Per-instance kernels against their slow routes, byte for byte, and aliasing.
+
+The fast kernels (doubling truth tables, doubling popcounts, chunked degree
+weights, broadcast junta embedding, axis-sum bias profiles) promise the same floating-point addition
+sequence as the slow routes in ``_oracles``, so equality is asserted on
+``tobytes()``, never with a tolerance.  Arities reach 18 so the 2**16-entry
+chunking boundary is crossed.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from hsf import (
+    FourierSpectrum,
+    bias_profile,
+    canonicalize,
+    degree_weights,
+    embed_junta,
+    linear_form_table,
+    ns_exact,
+    random_function,
+    truth_table,
+    wht,
+)
+from hsf._bits import popcounts
+
+from _oracles import (
+    slow_bias_profile,
+    slow_degree_weights,
+    slow_embed_junta,
+    slow_linear_form_table,
+    slow_popcounts,
+)
+
+MAX_N = 18
+
+# One draw at the top arity: ties, two dropped coordinates, decimal weights
+# and a threshold on an exact tie row.
+_WIDE_W = np.r_[np.full(6, 0.7), 0.0, np.arange(1, 10) * 0.1, 0.0, 2.1]
+_WIDE = (_WIDE_W, float(np.dot(_WIDE_W, np.resize([1.0, -1.0, -1.0], MAX_N))))
+
+
+@st.composite
+def weights_and_theta(draw, max_n=MAX_N):
+    n = draw(st.integers(1, max_n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["gaussian", "decimal", "integer"]))
+    if kind == "gaussian":
+        w = rng.standard_normal(n)
+    elif kind == "decimal":
+        w = rng.integers(-9, 10, size=n) * draw(st.sampled_from([0.1, 0.7, 1.1]))
+    else:
+        w = rng.integers(-4, 5, size=n).astype(np.float64)
+    if draw(st.booleans()):  # equal-weight ties
+        w[rng.random(n) < 0.5] = w[0]
+    if draw(st.booleans()):  # dropped coordinates
+        w[rng.random(n) < 0.3] = 0.0
+    if not np.any(w):
+        w[draw(st.integers(0, n - 1))] = 1.0
+    theta_kind = draw(st.sampled_from(["gaussian", "lattice", "zero"]))
+    if theta_kind == "gaussian":
+        theta = float(rng.normal()) * float(np.linalg.norm(w))
+    elif theta_kind == "lattice":  # w . x for one cube point: an exact tie row
+        theta = float(np.dot(w, rng.choice([-1.0, 1.0], size=n)))
+    else:
+        theta = 0.0
+    return w, theta
+
+
+@settings(max_examples=60, deadline=None)
+@given(weights_and_theta())
+@example(_WIDE)
+def test_linear_form_table_matches_blockwise_loop(wt):
+    lt = canonicalize(*wt)
+    slow = slow_linear_form_table(lt.weights, lt.original_index, lt.n_inputs)
+    assert linear_form_table(lt, cap=MAX_N).tobytes() == slow.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(weights_and_theta())
+@example(_WIDE)
+def test_truth_table_matches_blockwise_loop(wt):
+    lt = canonicalize(*wt)
+    slow = slow_linear_form_table(lt.weights, lt.original_index, lt.n_inputs)
+    expected = np.where(slow - lt.theta >= 0.0, 1, -1).astype(np.int8)
+    assert truth_table(lt, cap=MAX_N).values.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(weights_and_theta(max_n=10))
+def test_pointwise_evaluation_matches_table_rows(wt):
+    lt = canonicalize(*wt)
+    n = lt.n_inputs
+    rows = np.arange(1 << n)[:, None]
+    points = 1 - 2 * ((rows >> np.arange(n)) & 1)
+    assert np.array_equal(lt(points), truth_table(lt).values)
+
+
+@pytest.mark.parametrize("n", range(0, 21))
+def test_popcounts_match_bit_loop(n):
+    assert popcounts(n).tobytes() == slow_popcounts(n).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, MAX_N), st.integers(0, 2**32 - 1))
+@example(MAX_N, 0)
+def test_degree_weights_match_single_bincount(n, seed):
+    # Arbitrary reals, not only multiples of 2**-n, so every addition rounds.
+    coeffs = np.random.default_rng(seed).standard_normal(1 << n)
+    expected = slow_degree_weights(coeffs, n)
+    spectrum = FourierSpectrum(n, coeffs)
+    assert spectrum.degree_weights.tobytes() == expected.tobytes()
+    assert degree_weights(spectrum).tobytes() == expected.tobytes()
+
+
+@settings(max_examples=20, deadline=None)
+@given(weights_and_theta())
+@example(_WIDE)
+def test_degree_weights_of_tables_match_single_bincount(wt):
+    lt = canonicalize(*wt)
+    spectrum = wht(truth_table(lt, cap=MAX_N))
+    expected = slow_degree_weights(spectrum.coefficients, lt.n_inputs)
+    assert spectrum.degree_weights.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_embed_junta_matches_gather(data):
+    arity = data.draw(st.integers(0, 12))
+    head = data.draw(st.integers(0, (1 << arity) - 1))
+    g = random_function(head.bit_count(), seed=data.draw(st.integers(0, 2**32 - 1)))
+    expected = slow_embed_junta(g.values, head, arity)
+    assert embed_junta(g, head, arity).values.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_bias_profile_matches_gathered_bincount(data):
+    arity = data.draw(st.integers(0, 14))
+    head = data.draw(st.integers(0, (1 << arity) - 1))
+    f = random_function(arity, seed=data.draw(st.integers(0, 2**32 - 1)))
+    expected = slow_bias_profile(f.values, head, arity)
+    assert bias_profile(f, head, head_cap=14).biases.tobytes() == expected.tobytes()
+
+
+class TestAliasing:
+    def test_spectrum_of_wht_is_read_only(self):
+        spectrum = wht(random_function(6, seed=1))
+        assert not spectrum.coefficients.flags.writeable
+        assert not spectrum.degree_weights.flags.writeable
+
+    def test_popcounts_are_read_only(self):
+        counts = popcounts(8)
+        assert not counts.flags.writeable
+        with pytest.raises(ValueError):
+            counts[3] = 0
+
+    def test_spectrum_copies_writable_input(self):
+        arr = np.array([0.5, 0.5, 0.5, -0.5])
+        spectrum = FourierSpectrum(2, arr)
+        arr[0] = 9.0
+        assert spectrum.coefficients[0] == 0.5
+        assert not np.shares_memory(arr, spectrum.coefficients)
+
+    def test_mutating_degree_weights_leaves_ns_alone(self):
+        spectrum = wht(random_function(7, seed=2))
+        before = ns_exact(spectrum, 0.1)
+        weights = degree_weights(spectrum)
+        weights[:] = 0.0
+        assert ns_exact(spectrum, 0.1) == before
+        assert degree_weights(spectrum).tobytes() == spectrum.degree_weights.tobytes()
