@@ -30,6 +30,9 @@ MAX_ARITY_CAP = 24
 # temporaries (squares and intp bins) independently of the arity.
 _DEGREE_CHUNK = 1 << 16
 
+# Butterfly block width below which a pass is split into strided rows.
+_NARROW_BLOCK = 8
+
 
 def _check_arity(n: int, cap: int) -> None:
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
@@ -89,9 +92,9 @@ class BooleanFunction:
 class FourierSpectrum:
     """All 2**arity Fourier coefficients, indexed by variable-set bitmask.
 
-    A writable coefficient array is copied; a read-only float64 array is
-    taken as frozen and kept as is, so :func:`wht` hands over its result
-    without a second copy.
+    The coefficients are always a private read-only copy of the caller's
+    array, so no later write through another reference (a writable base of
+    a read-only view, say) can reach them or the memoized degree weights.
     """
 
     arity: int
@@ -104,9 +107,8 @@ class FourierSpectrum:
                 f"spectrum for arity {self.arity} needs {1 << self.arity} coefficients, "
                 f"got shape {coeffs.shape}"
             )
-        if coeffs.flags.writeable:
-            coeffs = coeffs.copy()
-            coeffs.setflags(write=False)
+        coeffs = coeffs.copy()
+        coeffs.setflags(write=False)
         object.__setattr__(self, "coefficients", coeffs)
 
     def total_weight(self) -> float:
@@ -145,39 +147,54 @@ def from_values(arity: int, values, cap: int = DEFAULT_ARITY_CAP) -> BooleanFunc
     return BooleanFunction(int(arity), np.asarray(values))
 
 
-def _butterfly(table: np.ndarray) -> np.ndarray:
-    # One copied half per pass keeps the update order-independent of layout.
-    a = table.astype(np.float64)
+def _butterfly(a: np.ndarray) -> np.ndarray:
+    # Unnormalized transform of ``a`` in place, returned for chaining.  Each
+    # pass saves the left halves in one half-size scratch buffer, then forms
+    # left + right and left - right in the array itself.  Blocks narrower than
+    # _NARROW_BLOCK go one offset at a time, so every ufunc call runs over one
+    # long strided row instead of one row of h entries per block.
+    scratch = np.empty(a.size // 2, dtype=a.dtype)
     h = 1
     while h < a.size:
-        a = a.reshape(-1, 2 * h)
-        left = a[:, :h].copy()
-        a[:, :h] = left + a[:, h:]
-        a[:, h:] = left - a[:, h:]
+        if h < _NARROW_BLOCK:
+            lanes = [(a[r::2 * h], a[r + h::2 * h], scratch[r::h]) for r in range(h)]
+        else:
+            pairs = a.reshape(-1, 2, h)
+            lanes = [(pairs[:, 0], pairs[:, 1], scratch.reshape(-1, h))]
+        for left, right, saved in lanes:
+            np.copyto(saved, left)
+            left += right
+            np.subtract(saved, right, out=right)
         h *= 2
-    return a.reshape(-1)
+    return a
 
 
 def wht(f: BooleanFunction) -> FourierSpectrum:
     """Fourier coefficients of ``f`` via the fast transform.
 
-    The butterfly runs unnormalized in n passes; the 2**-n normalization is
-    applied once at the end, so every coefficient is exact up to one final
-    rounding step.
+    The butterfly runs in int32: every partial sum of +-1 entries is an
+    integer of magnitude at most 2**n, exact for any n below 31 (the arity
+    cap is 24).  The sums are converted to float64 and divided by 2**n once,
+    so every coefficient is the correctly rounded value of the exact one.
     """
-    coeffs = _butterfly(f.values)
-    coeffs /= float(f.values.size)
+    sums = _butterfly(f.values.astype(np.int32))
+    coeffs = sums / float(sums.size)
     coeffs.setflags(write=False)
-    return FourierSpectrum(f.arity, coeffs)
+    # Nothing else references this fresh array, so FourierSpectrum's
+    # defensive copy is skipped by setting the fields directly.
+    spectrum = object.__new__(FourierSpectrum)
+    object.__setattr__(spectrum, "arity", f.arity)
+    object.__setattr__(spectrum, "coefficients", coeffs)
+    return spectrum
 
 
 def synthesize(spectrum: FourierSpectrum) -> np.ndarray:
     """Real-valued table of the polynomial with the given coefficients.
 
-    Inverse of :func:`wht` up to rounding: the same butterfly without the
-    final normalization.
+    Inverse of :func:`wht` up to rounding: the same butterfly, in float64 on
+    a copy of the coefficients, without the final normalization.
     """
-    return _butterfly(spectrum.coefficients)
+    return _butterfly(spectrum.coefficients.copy())
 
 
 def mean(f: BooleanFunction) -> float:

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
 
 from . import _bits, ltf as ltf_mod
 from .errors import CapExceededError, InvalidInputError
@@ -201,12 +200,14 @@ def ns_mc(f, epsilon: float, samples: int, seed) -> McEstimate:
 
 def gaussian_tail(theta):
     """Upper tail P[N(0,1) >= theta], accurate to ~1e-15 relative."""
+    from scipy import special  # loaded on first use: ~0.4 s that most commands never need
     out = 0.5 * special.erfc(np.asarray(theta, dtype=np.float64) / math.sqrt(2.0))
     return float(out) if np.isscalar(theta) or np.ndim(theta) == 0 else out
 
 
 def gaussian_cdf(t):
     """P[N(0,1) <= t]."""
+    from scipy import special  # loaded on first use: ~0.4 s that most commands never need
     out = 0.5 * special.erfc(-np.asarray(t, dtype=np.float64) / math.sqrt(2.0))
     return float(out) if np.isscalar(t) or np.ndim(t) == 0 else out
 
@@ -301,6 +302,7 @@ def _bvn_cdf(h: float, k: float, rho: float) -> float:
         c2 = math.cos(u) ** 2
         return math.exp(-(h * h - 2.0 * s * h * k + k * k) / (2.0 * c2))
 
+    from scipy import integrate  # loaded on first use: ~0.4 s that most commands never need
     val, _ = integrate.quad(
         integrand, 0.0, math.asin(rho), epsabs=1e-14, epsrel=1e-13, limit=200
     )

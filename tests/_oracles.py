@@ -3,9 +3,10 @@
 Everything here deliberately avoids the fast code paths it is used to check:
 the spectrum oracle is the quadratic-time inner-product definition, majority
 tables come straight from popcounts, and the tail-ratio references go through
-mpmath at high precision.  The per-instance kernels (linear-form table,
-popcounts, degree weights, junta embedding, bias profiles) are kept here in their original
-blockwise and bit-loop forms, which the fast kernels must match byte for byte.
+mpmath at high precision.  The per-instance kernels (Walsh-Hadamard butterfly,
+linear-form table, popcounts, degree weights, junta embedding, bias profiles)
+are kept here in their original float64, blockwise and bit-loop forms, which
+the fast kernels must match byte for byte.
 """
 
 import mpmath
@@ -28,6 +29,19 @@ def slow_spectrum(values: np.ndarray) -> np.ndarray:
             acc += sign * float(values[x])
         out[s] = acc / size
     return out
+
+
+def slow_butterfly(table: np.ndarray) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform in float64, one copied half per pass."""
+    a = np.asarray(table).astype(np.float64)
+    h = 1
+    while h < a.size:
+        a = a.reshape(-1, 2 * h)
+        left = a[:, :h].copy()
+        a[:, :h] = left + a[:, h:]
+        a[:, h:] = left - a[:, h:]
+        h *= 2
+    return a.reshape(-1)
 
 
 def majority_values(n: int) -> np.ndarray:

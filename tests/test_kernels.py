@@ -4,7 +4,8 @@ The fast kernels (doubling truth tables, doubling popcounts, chunked degree
 weights, broadcast junta embedding, axis-sum bias profiles) promise the same floating-point addition
 sequence as the slow routes in ``_oracles``, so equality is asserted on
 ``tobytes()``, never with a tolerance.  Arities reach 18 so the 2**16-entry
-chunking boundary is crossed.
+chunking boundary is crossed.  The in-place int32 transform must match the
+float64 butterfly divided by 2**n exactly, up to arity 22.
 """
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hsf import (
+    BooleanFunction,
     FourierSpectrum,
     bias_profile,
     canonicalize,
@@ -21,6 +23,7 @@ from hsf import (
     linear_form_table,
     ns_exact,
     random_function,
+    synthesize,
     truth_table,
     wht,
 )
@@ -28,6 +31,7 @@ from hsf._bits import popcounts
 
 from _oracles import (
     slow_bias_profile,
+    slow_butterfly,
     slow_degree_weights,
     slow_embed_junta,
     slow_linear_form_table,
@@ -145,6 +149,37 @@ def test_bias_profile_matches_gathered_bincount(data):
     assert bias_profile(f, head, head_cap=14).biases.tobytes() == expected.tobytes()
 
 
+def _wht_oracle(f):
+    return slow_butterfly(f.values) / float(f.values.size)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 16), st.integers(0, 2**32 - 1))
+def test_wht_matches_float64_butterfly(n, seed):
+    f = random_function(n, seed=seed)
+    assert wht(f).coefficients.tobytes() == _wht_oracle(f).tobytes()
+
+
+def test_wht_of_constant_table_at_n20_reaches_the_largest_sum():
+    f = BooleanFunction(20, np.ones(1 << 20, dtype=np.int8))
+    coeffs = wht(f).coefficients
+    assert coeffs[0] == 1.0 and not np.any(coeffs[1:])
+    assert coeffs.tobytes() == _wht_oracle(f).tobytes()
+
+
+def test_wht_of_random_table_at_n22_matches_float64_butterfly():
+    f = random_function(22, seed=22, cap=22)
+    assert wht(f).coefficients.tobytes() == _wht_oracle(f).tobytes()
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 9, 14])
+def test_synthesize_non_integer_coefficients_matches_float64_butterfly(n):
+    coeffs = np.random.default_rng(n).standard_normal(1 << n) / 3.0
+    spectrum = FourierSpectrum(n, coeffs)
+    assert synthesize(spectrum).tobytes() == slow_butterfly(coeffs).tobytes()
+    assert spectrum.coefficients.tobytes() == coeffs.tobytes()
+
+
 class TestAliasing:
     def test_spectrum_of_wht_is_read_only(self):
         spectrum = wht(random_function(6, seed=1))
@@ -171,3 +206,21 @@ class TestAliasing:
         weights[:] = 0.0
         assert ns_exact(spectrum, 0.1) == before
         assert degree_weights(spectrum).tobytes() == spectrum.degree_weights.tobytes()
+
+    def test_spectrum_copies_read_only_view_of_writable_base(self):
+        base = np.array([1.0, 0.0, 0.0, 0.0])
+        view = base.view()
+        view.setflags(write=False)
+        spectrum = FourierSpectrum(2, view)
+        assert ns_exact(spectrum, 0.1) == 0.0
+        base[:] = [0.0, 0.0, 0.0, 1.0]
+        assert spectrum.coefficients.tobytes() == np.array([1.0, 0, 0, 0]).tobytes()
+        assert ns_exact(spectrum, 0.1) == 0.0
+        assert ns_exact(FourierSpectrum(2, base), 0.1) == pytest.approx(0.18)
+        assert not np.shares_memory(base, spectrum.coefficients)
+
+    def test_spectrum_copies_coefficients_of_another_spectrum(self):
+        first = wht(random_function(5, seed=3))
+        second = FourierSpectrum(5, first.coefficients)
+        assert not np.shares_memory(first.coefficients, second.coefficients)
+        assert not second.coefficients.flags.writeable
