@@ -306,6 +306,16 @@ def cmd_gaussian(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
+def _table_and_head(seed: int, k: int) -> tuple:
+    # A random 8-ary table and a random 3-of-8 head, seeded by (seed, k).
+    f = random_function(8, seed=[seed, k])
+    rng = np.random.default_rng([seed, k, 1])
+    head = 0
+    for c in rng.choice(8, size=3, replace=False):
+        head |= 1 << int(c)
+    return f, head
+
+
 def cmd_checks(args: argparse.Namespace) -> int:
     rows: list[tuple] = []
     k = 0
@@ -324,12 +334,8 @@ def cmd_checks(args: argparse.Namespace) -> int:
         k += 1
 
     # Restriction energy identity, worst tail subset per instance.
-    for i in range(8):
-        f = random_function(8, seed=[args.seed, k])
-        rng = np.random.default_rng([args.seed, k, 1])
-        head = 0
-        for c in rng.choice(8, size=3, replace=False):
-            head |= 1 << int(c)
+    for _ in range(8):
+        f, head = _table_and_head(args.seed, k)
         complement = ((1 << 8) - 1) ^ head
         worst = None
         for subset in _bits.submasks(complement):
@@ -342,11 +348,7 @@ def cmd_checks(args: argparse.Namespace) -> int:
 
     # Noise sensitivity can only shrink on average under restriction.
     for i in range(8):
-        f = random_function(8, seed=[args.seed, k])
-        rng = np.random.default_rng([args.seed, k, 1])
-        head = 0
-        for c in rng.choice(8, size=3, replace=False):
-            head |= 1 << int(c)
+        f, head = _table_and_head(args.seed, k)
         eps = (0.05, 0.1, 0.25)[i % 3]
         agg = ns_aggregation_check(f, head, eps)
         add("ns-aggregation", k, agg.ns_value, agg.restricted_mean,

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types and the range check shared across the package."""
 
 
 class HsfError(Exception):
@@ -15,3 +15,12 @@ class CapExceededError(HsfError):
 
 class DegenerateLtfError(InvalidInputError):
     """A weight vector with no nonzero entry cannot define a threshold function."""
+
+
+def check_range(name: str, value, lo: float, hi: float, open_lo: bool = False) -> float:
+    """``value`` as a float in [lo, hi], or in (lo, hi] with ``open_lo``; NaN fails."""
+    value = float(value)
+    if not (lo < value <= hi if open_lo else lo <= value <= hi):
+        bracket = "(" if open_lo else "["
+        raise InvalidInputError(f"{name} must be in {bracket}{lo:g}, {hi:g}], got {value}")
+    return value

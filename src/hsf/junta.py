@@ -28,11 +28,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _bits
-from .errors import CapExceededError, InvalidInputError
+from .errors import CapExceededError, InvalidInputError, check_range
 from .fncore import DEFAULT_ARITY_CAP, BooleanFunction, FourierSpectrum, distance, wht
 from .ltf import Ltf, critical_index, head_mask, truth_table
 from .noise import CHECK_TOL, ns_exact
-from .restriction import DEFAULT_HEAD_CAP, BiasProfile, bias_profile, embed_junta
+from .restriction import (
+    DEFAULT_HEAD_CAP,
+    BiasProfile,
+    Restriction,
+    bias_profile,
+    embed_junta,
+    restrict,
+)
 
 
 class JuntaCase(str, enum.Enum):
@@ -66,8 +73,8 @@ class TheoremConfig:
     delta_validity: tuple[float, float] = (0.0, 0.25)
 
     def __post_init__(self) -> None:
-        if self.c_ns <= 0 or self.c_l <= 0:
-            raise InvalidInputError("constants c_ns and c_l must be positive")
+        _check_constant("c_ns", self.c_ns)
+        _check_constant("c_l", self.c_l)
         if self.arity_cap < 1 or self.head_cap < 1:
             raise InvalidInputError("caps must be at least 1")
         for lo, hi in (self.epsilon_validity, self.delta_validity):
@@ -166,8 +173,7 @@ def prepare(ltf: Ltf, cap: int = DEFAULT_ARITY_CAP) -> Instance:
 def junta_budget(epsilon: float, delta: float, c_l: float = 1.0) -> int:
     """Head budget L = max(1, ceil(c_l * eps^-2 * ln(1/eps) * ln(1/delta)))."""
     epsilon, delta = _check_eps_delta(epsilon, delta)
-    if c_l <= 0:
-        raise InvalidInputError(f"c_l must be positive, got {c_l}")
+    c_l = _check_constant("c_l", c_l)
     raw = c_l * epsilon**-2 * math.log(1.0 / epsilon) * math.log(1.0 / delta)
     return max(1, math.ceil(raw))
 
@@ -177,34 +183,38 @@ def premise_bound(
 ) -> float:
     """Noise-sensitivity premise c_ns * delta^((2-eps)/(1-eps)) * sqrt(eps)."""
     epsilon, delta = _check_eps_delta(epsilon, delta)
-    if c_ns <= 0:
-        raise InvalidInputError(f"c_ns must be positive, got {c_ns}")
+    c_ns = _check_constant("c_ns", c_ns)
     if exponent is None:
         exponent = (2.0 - epsilon) / (1.0 - epsilon)
     return c_ns * delta**exponent * math.sqrt(epsilon)
 
 
 def _check_eps_delta(epsilon: float, delta: float) -> tuple[float, float]:
-    epsilon = float(epsilon)
-    delta = float(delta)
-    if not 0.0 < epsilon <= 0.5:
-        raise InvalidInputError(f"epsilon must be in (0, 0.5], got {epsilon}")
-    if not 0.0 < delta <= 1.0:
-        raise InvalidInputError(f"delta must be in (0, 1], got {delta}")
-    return epsilon, delta
+    return (
+        check_range("epsilon", epsilon, 0, 0.5, open_lo=True),
+        check_range("delta", delta, 0, 1, open_lo=True),
+    )
+
+
+def _check_constant(name: str, value: float) -> float:
+    value = float(value)
+    if not 0.0 < value < math.inf:
+        raise InvalidInputError(f"{name} must be finite and positive, got {value}")
+    return value
 
 
 def best_junta_on(
     f: BooleanFunction, head: int, head_cap: int = DEFAULT_HEAD_CAP
 ) -> BooleanFunction:
     """Distance-optimal junta on the head coordinates: sign of each block bias."""
-    return _bias_signs(bias_profile(f, head, head_cap=head_cap))
+    return _signs(bias_profile(f, head, head_cap=head_cap).biases)
 
 
-def _bias_signs(prof: BiasProfile) -> BooleanFunction:
-    return BooleanFunction(
-        _bits.popcount(prof.head), np.where(prof.biases >= 0.0, 1, -1).astype(np.int8)
-    )
+def _signs(values) -> BooleanFunction:
+    # sign(v) with sign(0) = +1, one table row per value.
+    values = np.asarray(values).reshape(-1)
+    signs = np.where(values >= 0.0, 1, -1).astype(np.int8)
+    return BooleanFunction(values.size.bit_length() - 1, signs)
 
 
 def head_projection(
@@ -216,18 +226,14 @@ def head_projection(
     resulting junta is then within 3 * delta of f, and the squared projection
     residual of the overwritten function stays below 2 * delta.
     """
-    delta = float(delta)
-    if not 0.0 < delta <= 1.0:
-        raise InvalidInputError(f"delta must be in (0, 1], got {delta}")
+    delta = check_range("delta", delta, 0, 1, open_lo=True)
     prof = bias_profile(f, head, head_cap=head_cap)
     unbiased = np.abs(prof.biases) <= 1.0 - delta
     frac = float(np.count_nonzero(unbiased)) / prof.biases.size
     # Projection onto head functions is blockwise conditional expectation, so
     # the overwritten function projects to its block means directly.
     block_means = np.where(unbiased, 1.0, prof.biases)
-    approx = BooleanFunction(
-        _bits.popcount(head), np.where(block_means >= 0.0, 1, -1).astype(np.int8)
-    )
+    approx = _signs(block_means)
     residual_sq = 1.0 - float(np.mean(block_means * block_means))
     return HeadProjection(
         approximator=approx,
@@ -236,18 +242,6 @@ def head_projection(
         frac_unbiased=frac,
         profile=prof,
     )
-
-
-def _compress_to(f: BooleanFunction, head: int) -> BooleanFunction:
-    # f as a function of the head coordinates; only valid when f is a junta
-    # on head (used for the everything-fits head, where it trivially is).
-    pos = _bits.bit_positions(head)
-    rows = np.asarray(_bits.spread_bits(np.arange(1 << len(pos), dtype=np.int64), pos))
-    return BooleanFunction(len(pos), f.values[rows])
-
-
-def _constant_function(sign_value: float) -> BooleanFunction:
-    return BooleanFunction(0, np.array([1 if sign_value >= 0.0 else -1], dtype=np.int8))
 
 
 def extract_junta(
@@ -287,7 +281,6 @@ def extract_junta(
         config.epsilon_validity[0] < epsilon <= config.epsilon_validity[1]
         and config.delta_validity[0] < delta <= config.delta_validity[1]
     )
-    mean_value = float(spectrum.coefficients[0])
 
     frac_unbiased = math.nan
     residual_sq = math.nan
@@ -296,7 +289,7 @@ def extract_junta(
     if small_delta or ell == 1:
         case = JuntaCase.SMALL_DELTA if small_delta else JuntaCase.CONSTANT
         junta_set = 0
-        approx = _constant_function(mean_value)
+        approx = _signs(spectrum.coefficients[0])
         guarantee = delta
     elif ell <= budget:
         head_size = int(ell)
@@ -314,7 +307,7 @@ def extract_junta(
             guarantee = 3.0 * delta
         else:
             case = JuntaCase.PREMISE_VIOLATED
-            approx = _bias_signs(proj.profile)
+            approx = _signs(proj.profile.biases)
             # Lower bound on noise sensitivity implied by the unbiased blocks
             # through the restriction threshold argument; exceeding the
             # premise with it is what this case asserts.
@@ -325,7 +318,9 @@ def extract_junta(
         head_size = min(budget, ltf.n_active)
         junta_set = head_mask(ltf, head_size)
         if head_size == ltf.n_active:
-            approx = _compress_to(table, junta_set)
+            # The table ignores every other coordinate, so fix them all to +1.
+            rest = ((1 << n) - 1) ^ junta_set
+            approx = restrict(table, Restriction(rest, (1,) * _bits.popcount(rest)))
         elif head_size <= config.head_cap:
             approx = best_junta_on(table, junta_set, head_cap=config.head_cap)
         else:
@@ -369,9 +364,7 @@ def theorem_verify(report: JuntaReport, delta: float | None = None) -> Verdict:
     case then contradicts itself and fails loudly.
     """
     d = report.diagnostics
-    delta = d.delta if delta is None else float(delta)
-    if not 0.0 < delta <= 1.0:
-        raise InvalidInputError(f"delta must be in (0, 1], got {delta}")
+    delta = check_range("delta", d.delta if delta is None else delta, 0, 1, open_lo=True)
     if not d.premise_holds:
         return Verdict(passed=True, vacuous=True, label="premise-violated")
     if report.case is JuntaCase.PREMISE_VIOLATED:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceededError, DegenerateLtfError, InvalidInputError
+from .errors import CapExceededError, DegenerateLtfError, InvalidInputError, check_range
 from .fncore import DEFAULT_ARITY_CAP, BooleanFunction
 
 INFINITE_INDEX = math.inf
@@ -139,11 +139,6 @@ def linear_form(ltf: Ltf, x: np.ndarray) -> np.ndarray:
     return acc
 
 
-def evaluate(ltf: Ltf, x) -> int:
-    """Sign of w . x - theta at a single +-1 point, with sign(0) = +1."""
-    return int(ltf(np.asarray(x)))
-
-
 def truth_table(ltf: Ltf, cap: int = DEFAULT_ARITY_CAP) -> BooleanFunction:
     """Dense table over all n_inputs variables (dropped coordinates ignored)."""
     acc = _sorted_linear_form(ltf, cap)
@@ -205,9 +200,7 @@ def critical_index(ltf: Ltf, tau: float) -> int | float:
     Compared on squares, so the result is exact whenever the defining
     inequality is not a floating-point knife edge.
     """
-    tau = float(tau)
-    if not 0.0 < tau <= 1.0:
-        raise InvalidInputError(f"tau must be in (0, 1], got {tau}")
+    tau = check_range("tau", tau, 0, 1, open_lo=True)
     sq = ltf.weights * ltf.weights
     tail_sq = np.cumsum(sq[::-1])[::-1]
     hits = np.flatnonzero(sq <= tau * tau * tail_sq)

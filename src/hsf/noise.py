@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _bits, ltf as ltf_mod
-from .errors import CapExceededError, InvalidInputError
+from .errors import CapExceededError, InvalidInputError, check_range
 from .fncore import DEFAULT_ARITY_CAP, BooleanFunction, FourierSpectrum
 from .ltf import Ltf
 
@@ -34,32 +34,6 @@ MC_FAILURE_PROB = 1e-6
 CHECK_TOL = 1e-12
 
 _MC_CHUNK = 1 << 17
-
-
-@dataclass(frozen=True)
-class NoiseParams:
-    """Flip rate eps in (0, 1/2] and the matching correlation rho = 1 - 2 eps."""
-
-    epsilon: float
-    rho: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.epsilon <= 0.5:
-            raise InvalidInputError(f"epsilon must be in (0, 0.5], got {self.epsilon}")
-        if abs(self.rho - (1.0 - 2.0 * self.epsilon)) > 1e-15:
-            raise InvalidInputError(
-                f"rho {self.rho} does not match 1 - 2*epsilon for epsilon {self.epsilon}"
-            )
-
-    @classmethod
-    def from_epsilon(cls, epsilon: float) -> "NoiseParams":
-        epsilon = float(epsilon)
-        return cls(epsilon=epsilon, rho=1.0 - 2.0 * epsilon)
-
-    @classmethod
-    def from_rho(cls, rho: float) -> "NoiseParams":
-        rho = float(rho)
-        return cls(epsilon=(1.0 - rho) / 2.0, rho=rho)
 
 
 @dataclass(frozen=True)
@@ -108,18 +82,21 @@ def hoeffding_radius(samples: int) -> float:
     return math.sqrt(math.log(2.0 / MC_FAILURE_PROB) / (2.0 * samples))
 
 
-def _check_epsilon(epsilon: float, hi: float = 1.0) -> float:
-    epsilon = float(epsilon)
-    if not 0.0 <= epsilon <= hi:
-        raise InvalidInputError(f"epsilon must be in [0, {hi}], got {epsilon}")
-    return epsilon
+def _mc_chunks(samples: int, seed):
+    # One generator drawn in fixed-size chunks.  The caller's loop body keeps
+    # each chunk's arrays until the next draw replaces them, so the allocator
+    # reuses their pages; a per-chunk callback would free them first and
+    # fault the pages in again on every chunk.
+    rng = np.random.default_rng(seed)
+    for done in range(0, samples, _MC_CHUNK):
+        yield rng, min(_MC_CHUNK, samples - done)
 
 
-def _check_rho(rho: float) -> float:
-    rho = float(rho)
-    if not -1.0 <= rho <= 1.0:
-        raise InvalidInputError(f"rho must be in [-1, 1], got {rho}")
-    return rho
+def _flipped_pair(rng, m: int, n: int, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+    # m uniform +-1 points and copies with each coordinate flipped w.p. eps.
+    x = 1 - 2 * rng.integers(0, 2, size=(m, n), dtype=np.int8)
+    flips = rng.random(size=(m, n)) < epsilon
+    return x, np.where(flips, -x, x)
 
 
 def degree_weights(spectrum: FourierSpectrum) -> np.ndarray:
@@ -136,7 +113,7 @@ def ns_exact(spectrum: FourierSpectrum, epsilon: float) -> float:
     Degree weights are accumulated in ascending-degree order, so results are
     reproducible bit for bit.
     """
-    epsilon = _check_epsilon(epsilon)
+    epsilon = check_range("epsilon", epsilon, 0, 1)
     rho = 1.0 - 2.0 * epsilon
     weights = spectrum.degree_weights
     powers = rho ** np.arange(spectrum.arity + 1, dtype=np.float64)
@@ -152,7 +129,7 @@ def ns_bruteforce(
     per-popcount totals by eps^d (1-eps)^(n-d).  Exists as an independent
     cross-check of :func:`ns_exact`; keep both routes intact.
     """
-    epsilon = _check_epsilon(epsilon)
+    epsilon = check_range("epsilon", epsilon, 0, 1)
     if f.arity > cap:
         raise CapExceededError(f"arity {f.arity} exceeds brute-force cap {cap}")
     n = f.arity
@@ -182,19 +159,13 @@ def ns_mc(f, epsilon: float, samples: int, seed) -> McEstimate:
     Sampling is chunked at a fixed size, so a given seed yields the same
     estimate regardless of platform or total sample count split.
     """
-    epsilon = _check_epsilon(epsilon)
+    epsilon = check_range("epsilon", epsilon, 0, 1)
     n = _fn_arity(f)
     radius = hoeffding_radius(samples)
-    rng = np.random.default_rng(seed)
     hits = 0
-    done = 0
-    while done < samples:
-        m = min(_MC_CHUNK, samples - done)
-        x = 1 - 2 * rng.integers(0, 2, size=(m, n), dtype=np.int8)
-        flips = rng.random(size=(m, n)) < epsilon
-        y = np.where(flips, -x, x)
+    for rng, m in _mc_chunks(samples, seed):
+        x, y = _flipped_pair(rng, m, n, epsilon)
         hits += int(np.count_nonzero(f(x) != f(y)))
-        done += m
     return McEstimate(value=hits / samples, samples=samples, radius=radius)
 
 
@@ -240,7 +211,7 @@ def gaussian_ns_bound(theta: float, epsilon: float) -> float:
     disagreement probability of sign(. - theta) is at least
     arccos(rho)/pi * exp(-theta^2 / (1 + rho)).
     """
-    epsilon = _check_epsilon(epsilon, hi=0.5)
+    epsilon = check_range("epsilon", epsilon, 0, 0.5)
     theta = float(theta)
     if not math.isfinite(theta):
         raise InvalidInputError(f"theta must be finite, got {theta}")
@@ -250,22 +221,18 @@ def gaussian_ns_bound(theta: float, epsilon: float) -> float:
 
 def gaussian_ns_mc(theta: float, rho: float, samples: int, seed) -> McEstimate:
     """Monte Carlo disagreement probability of sign(. - theta) on a rho-pair."""
-    rho = _check_rho(rho)
+    rho = check_range("rho", rho, -1, 1)
     theta = float(theta)
     if not math.isfinite(theta):
         raise InvalidInputError(f"theta must be finite, got {theta}")
     radius = hoeffding_radius(samples)
     comp = math.sqrt(max(0.0, 1.0 - rho * rho))
-    rng = np.random.default_rng(seed)
     hits = 0
-    done = 0
-    while done < samples:
-        m = min(_MC_CHUNK, samples - done)
+    for rng, m in _mc_chunks(samples, seed):
         z = rng.standard_normal(size=(2, m))
         x = z[0]
         y = rho * z[0] + comp * z[1]
         hits += int(np.count_nonzero((x - theta >= 0.0) != (y - theta >= 0.0)))
-        done += m
     return McEstimate(value=hits / samples, samples=samples, radius=radius)
 
 
@@ -315,7 +282,7 @@ def bivariate_rectangle(interval1, interval2, rho: float) -> float:
     Exact up to quadrature error (~1e-13 absolute); intervals are closed and
     may use +-inf endpoints.
     """
-    rho = _check_rho(rho)
+    rho = check_range("rho", rho, -1, 1)
     a1, b1 = _interval(interval1)
     a2, b2 = _interval(interval2)
     value = (
@@ -329,7 +296,7 @@ def bivariate_rectangle(interval1, interval2, rho: float) -> float:
 
 def gaussian_disagreement(theta: float, rho: float) -> float:
     """Exact P[sign(X - theta) != sign(Y - theta)] for a rho-correlated pair."""
-    rho = _check_rho(rho)
+    rho = check_range("rho", rho, -1, 1)
     theta = float(theta)
     upper = bivariate_rectangle((theta, math.inf), (theta, math.inf), rho)
     return max(0.0, 2.0 * (gaussian_tail(theta) - upper))
@@ -337,7 +304,7 @@ def gaussian_disagreement(theta: float, rho: float) -> float:
 
 def constant_bound_check(spectrum: FourierSpectrum, epsilon: float) -> ConstantBoundCheck:
     """Verify NS_eps(f) >= eps * (1 - E[f]^2), the distance-from-constant bound."""
-    epsilon = _check_epsilon(epsilon, hi=0.5)
+    epsilon = check_range("epsilon", epsilon, 0, 0.5)
     ns_value = ns_exact(spectrum, epsilon)
     mean = float(spectrum.coefficients[0])
     bound = epsilon * (1.0 - mean * mean)
@@ -374,24 +341,17 @@ def boolean_pair_quadrant_mc(
     x is uniform, y an eps-flipped copy; the Gaussian side is the exact
     rectangle probability at correlation rho = 1 - 2 eps.
     """
-    epsilon = _check_epsilon(epsilon)
+    epsilon = check_range("epsilon", epsilon, 0, 1)
     a1, b1 = _interval(interval1)
     a2, b2 = _interval(interval2)
     radius = hoeffding_radius(samples)
-    n = ltf.n_inputs
-    rng = np.random.default_rng(seed)
     hits = 0
-    done = 0
-    while done < samples:
-        m = min(_MC_CHUNK, samples - done)
-        x = 1 - 2 * rng.integers(0, 2, size=(m, n), dtype=np.int8)
-        flips = rng.random(size=(m, n)) < epsilon
-        y = np.where(flips, -x, x)
+    for rng, m in _mc_chunks(samples, seed):
+        x, y = _flipped_pair(rng, m, ltf.n_inputs, epsilon)
         sx = ltf_mod.linear_form(ltf, x)
         sy = ltf_mod.linear_form(ltf, y)
         inside = (sx >= a1) & (sx <= b1) & (sy >= a2) & (sy <= b2)
         hits += int(np.count_nonzero(inside))
-        done += m
     boolean = McEstimate(value=hits / samples, samples=samples, radius=radius)
     gaussian = bivariate_rectangle((a1, b1), (a2, b2), 1.0 - 2.0 * epsilon)
     return QuadrantComparison(

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _bits
-from .errors import CapExceededError, InvalidInputError
+from .errors import CapExceededError, InvalidInputError, check_range
 from .fncore import BooleanFunction, wht
 from .noise import CHECK_TOL, ns_exact
 
@@ -84,9 +84,7 @@ class BiasProfile:
 
     def frac_unbiased(self, delta: float) -> float:
         """Fraction of assignments with |bias| <= 1 - delta."""
-        delta = float(delta)
-        if not 0.0 < delta <= 1.0:
-            raise InvalidInputError(f"delta must be in (0, 1], got {delta}")
+        delta = check_range("delta", delta, 0, 1, open_lo=True)
         return float(np.count_nonzero(np.abs(self.biases) <= 1.0 - delta)) / self.biases.size
 
 
@@ -147,11 +145,14 @@ def restrict(f: BooleanFunction, r: Restriction) -> BooleanFunction:
     Remaining variables keep their ascending original order.
     """
     head_pos = _check_head(r.head, f.arity)
-    rem_pos = [j for j in range(f.arity) if not (r.head >> j) & 1]
-    fixed_bits = _bits.spread_bits(r.assignment_index, head_pos)
-    sub = np.arange(1 << len(rem_pos), dtype=np.int64)
-    rows = np.asarray(_bits.spread_bits(sub, rem_pos)) | fixed_bits
-    return BooleanFunction(len(rem_pos), f.values[rows])
+    # On the (2,)*n cube view coordinate c is axis n-1-c: fix the bit of each
+    # head axis (-1 is bit 1) and keep the others, highest coordinate first.
+    n = f.arity
+    index = [slice(None)] * n
+    for c, v in zip(head_pos, r.values):
+        index[n - 1 - c] = int(v == -1)
+    cube = f.values.reshape((2,) * n)[tuple(index)]
+    return BooleanFunction(n - len(head_pos), cube.reshape(-1))
 
 
 def bias_profile(f: BooleanFunction, head: int, head_cap: int = DEFAULT_HEAD_CAP) -> BiasProfile:

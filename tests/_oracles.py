@@ -4,7 +4,8 @@ Everything here deliberately avoids the fast code paths it is used to check:
 the spectrum oracle is the quadratic-time inner-product definition, majority
 tables come straight from popcounts, and the tail-ratio references go through
 mpmath at high precision.  The per-instance kernels (Walsh-Hadamard butterfly,
-linear-form table, popcounts, degree weights, junta embedding, bias profiles)
+linear-form table, popcounts, degree weights, restriction, junta embedding,
+bias profiles)
 are kept here in their original float64, blockwise and bit-loop forms, which
 the fast kernels must match byte for byte.
 """
@@ -117,6 +118,23 @@ def _packed_head_index(head: int, arity: int) -> np.ndarray:
             packed |= ((rows >> c) & 1) << j
             j += 1
     return packed
+
+
+def slow_restrict(values: np.ndarray, head: int, index: int, arity: int) -> np.ndarray:
+    """Restricted table by a row gather: the head bits are fixed from the packed
+    assignment ``index`` and the other bits spread out in ascending order."""
+    fixed = 0
+    j = 0
+    for c in range(arity):
+        if (head >> c) & 1:
+            fixed |= ((index >> j) & 1) << c
+            j += 1
+    rest = [c for c in range(arity) if not (head >> c) & 1]
+    sub = np.arange(1 << len(rest), dtype=np.int64)
+    rows = np.full(sub.size, fixed, dtype=np.int64)
+    for j, c in enumerate(rest):
+        rows |= ((sub >> j) & 1) << c
+    return values[rows]
 
 
 def slow_embed_junta(values: np.ndarray, head: int, arity: int) -> np.ndarray:

@@ -108,6 +108,21 @@ class TestJunta:
         assert code == 1
 
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--c-l", "inf"), ("--c-l", "nan"), ("--c-ns", "nan"), ("--c-ns", "inf"),
+    ])
+    def test_non_finite_constants_are_input_errors(self, tmp_path, capsys, flag, value):
+        code = cli.main(
+            ["junta", "--ltf", _dictator_file(tmp_path), "--epsilon", "0.05",
+             "--delta", "0.25", flag, value]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith(f"error: {flag[2:].replace('-', '_')} must be finite")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+
 class TestSweep:
     ARGS = ["sweep", "--families", "equal,geometric:0.5", "--n", "6",
             "--count", "2", "--seed", "9", "--quiet"]

@@ -3,7 +3,8 @@
 Each case runs in a fresh interpreter, so modules imported by other tests
 cannot leak in.  The `checks` case guards against a vacuous pass: if scipy
 were never importable from the package at all, the first case would pass
-for the wrong reason.
+for the wrong reason.  The last case checks that every name in ``hsf.__all__``
+still exists, so a deleted function cannot leave a stale export behind.
 """
 
 import json
@@ -71,3 +72,13 @@ def test_checks_loads_scipy(tmp_path):
     assert "scipy.special" in result["scipy"]
     assert "scipy.integrate" in result["scipy"]
     assert (tmp_path / "checks.csv").stat().st_size > 0
+
+
+def test_every_exported_name_resolves():
+    import hsf
+
+    missing = [name for name in hsf.__all__ if not hasattr(hsf, name)]
+    assert missing == []
+    namespace: dict = {}
+    exec("from hsf import *", namespace)
+    assert set(hsf.__all__) <= set(namespace)

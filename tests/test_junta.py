@@ -74,6 +74,17 @@ class TestBudgetAndPremise:
         with pytest.raises(InvalidInputError):
             TheoremConfig(head_cap=0)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_constants_must_be_finite(self, value):
+        with pytest.raises(InvalidInputError, match="c_ns must be finite and positive"):
+            TheoremConfig(c_ns=value)
+        with pytest.raises(InvalidInputError, match="c_l must be finite and positive"):
+            TheoremConfig(c_l=value)
+        with pytest.raises(InvalidInputError, match="c_l"):
+            junta_budget(0.1, 0.1, c_l=value)
+        with pytest.raises(InvalidInputError, match="c_ns"):
+            premise_bound(0.1, 0.1, c_ns=value)
+
 
 class TestHeadConstructions:
     def test_best_junta_is_exhaustively_optimal(self):
@@ -188,6 +199,16 @@ class TestCaseRouting:
         assert report.junta_set == 0b111
         assert report.distance == 0.0
         assert theorem_verify(report).passed
+
+    def test_head_junta_whole_function_fits_with_dropped_coordinate(self):
+        # The junta set skips coordinate 1, so the approximator is the table
+        # read on the rows where that coordinate is +1.
+        report = extract_junta(canonicalize([8, 0, 4, 2, 1], 0.3), 0.25, 0.8)
+        assert report.case is JuntaCase.HEAD_JUNTA
+        assert report.junta_set == 0b11101
+        assert report.junta_size == 4
+        assert report.distance == 0.0
+        assert report.approximator.values.tobytes().hex() == "01ff01ff01ff01ff01ff01ff01ff01ff"
 
     def test_junta_set_marks_true_dependencies(self):
         lt = canonicalize(0.6 ** np.arange(1, 19), 0.0)

@@ -1,8 +1,9 @@
 """Per-instance kernels against their slow routes, byte for byte, and aliasing.
 
 The fast kernels (doubling truth tables, doubling popcounts, chunked degree
-weights, broadcast junta embedding, axis-sum bias profiles) promise the same floating-point addition
-sequence as the slow routes in ``_oracles``, so equality is asserted on
+weights, cube-view restriction, broadcast junta embedding, axis-sum bias
+profiles) promise the same floating-point addition sequence, or the same
+gathered rows, as the slow routes in ``_oracles``, so equality is asserted on
 ``tobytes()``, never with a tolerance.  Arities reach 18 so the 2**16-entry
 chunking boundary is crossed.  The in-place int32 transform must match the
 float64 butterfly divided by 2**n exactly, up to arity 22.
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from hsf import (
     BooleanFunction,
     FourierSpectrum,
+    Restriction,
     bias_profile,
     canonicalize,
     degree_weights,
@@ -23,6 +25,7 @@ from hsf import (
     linear_form_table,
     ns_exact,
     random_function,
+    restrict,
     synthesize,
     truth_table,
     wht,
@@ -36,6 +39,7 @@ from _oracles import (
     slow_embed_junta,
     slow_linear_form_table,
     slow_popcounts,
+    slow_restrict,
 )
 
 MAX_N = 18
@@ -127,6 +131,29 @@ def test_degree_weights_of_tables_match_single_bincount(wt):
     spectrum = wht(truth_table(lt, cap=MAX_N))
     expected = slow_degree_weights(spectrum.coefficients, lt.n_inputs)
     assert spectrum.degree_weights.tobytes() == expected.tobytes()
+
+
+def _check_restrict(f, head, index):
+    got = restrict(f, Restriction.from_index(head, index))
+    assert got.arity == f.arity - head.bit_count()
+    assert got.values.tobytes() == slow_restrict(f.values, head, index, f.arity).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_restrict_matches_gather(data):
+    arity = data.draw(st.integers(0, 12))
+    head = data.draw(st.integers(0, (1 << arity) - 1))
+    index = data.draw(st.integers(0, (1 << head.bit_count()) - 1))
+    _check_restrict(random_function(arity, seed=data.draw(st.integers(0, 2**32 - 1))),
+                    head, index)
+
+
+def test_restrict_matches_gather_on_every_head_and_assignment():
+    f = random_function(6, seed=11)
+    for head in range(1 << 6):
+        for index in range(1 << head.bit_count()):
+            _check_restrict(f, head, index)
 
 
 @settings(max_examples=60, deadline=None)

@@ -13,7 +13,6 @@ from hsf import (
     CapExceededError,
     canonicalize,
     critical_index,
-    evaluate,
     head_split,
     linear_form,
     linear_form_table,
@@ -84,9 +83,9 @@ class TestCanonicalize:
 class TestEvaluation:
     def test_sign_zero_is_plus_one(self):
         lt = canonicalize([1.0, 1.0], 0.0)
-        assert evaluate(lt, [1, -1]) == 1
-        assert evaluate(lt, [-1, 1]) == 1
-        assert evaluate(lt, [-1, -1]) == -1
+        assert lt([1, -1]) == 1
+        assert lt([-1, 1]) == 1
+        assert lt([-1, -1]) == -1
 
     def test_linear_form_matches_dot_product(self):
         rng = np.random.default_rng(5)
@@ -98,8 +97,8 @@ class TestEvaluation:
 
     def test_dropped_coordinates_are_ignored(self):
         lt = canonicalize([0.0, 1.0], 0.0)
-        assert evaluate(lt, [1, 1]) == evaluate(lt, [-1, 1]) == 1
-        assert evaluate(lt, [1, -1]) == -1
+        assert lt([1, 1]) == lt([-1, 1]) == 1
+        assert lt([1, -1]) == -1
 
     def test_call_rejects_bad_points(self):
         lt = canonicalize([1.0, 1.0], 0.0)
