@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__, _bits
 from .errors import HsfError, InvalidInputError
-from .fncore import random_function, wht
+from .fncore import DEFAULT_ARITY_CAP, MAX_ARITY_CAP, random_function, wht
 from .junta import TheoremConfig, extract_junta, prepare, theorem_verify
 from .ltf import (
     canonicalize,
@@ -405,8 +405,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None,
                         help="base seed (fallback: HSF_SEED env, then 0)")
-    common.add_argument("--max-n", type=int, default=20, dest="max_n",
-                        help="arity cap for exact operations (up to 24)")
+    common.add_argument("--max-n", type=int, default=DEFAULT_ARITY_CAP, dest="max_n",
+                        help=f"arity cap for exact operations (up to {MAX_ARITY_CAP})")
     common.add_argument("--out", default=None, help="write the CSV here")
     common.add_argument("--quiet", action="store_true",
                         help="suppress stdout reports")
@@ -482,8 +482,10 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         args.seed = _resolve_seed(args)
-        if not 1 <= args.max_n <= 24:
-            raise InvalidInputError(f"--max-n must be in [1, 24], got {args.max_n}")
+        if not 1 <= args.max_n <= MAX_ARITY_CAP:
+            raise InvalidInputError(
+                f"--max-n must be in [1, {MAX_ARITY_CAP}], got {args.max_n}"
+            )
         return args.func(args)
     except HsfError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -29,17 +29,21 @@ import numpy as np
 
 from . import _bits
 from .errors import CapExceededError, InvalidInputError, check_range
-from .fncore import DEFAULT_ARITY_CAP, BooleanFunction, FourierSpectrum, distance, wht
+from .fncore import (
+    DEFAULT_ARITY_CAP,
+    MAX_ARITY_CAP,
+    BooleanFunction,
+    FourierSpectrum,
+    distance,
+    wht,
+)
 from .ltf import Ltf, critical_index, head_mask, truth_table
 from .noise import CHECK_TOL, ns_exact
-from .restriction import (
-    DEFAULT_HEAD_CAP,
-    BiasProfile,
-    Restriction,
-    bias_profile,
-    embed_junta,
-    restrict,
-)
+from .restriction import BiasProfile, Restriction, bias_profile, embed_junta, restrict
+
+# Reports with eps and delta both at most this are flagged within_validity;
+# larger values are still extracted, only the flag records the range.
+VALIDITY_LIMIT = 0.25
 
 
 class JuntaCase(str, enum.Enum):
@@ -57,29 +61,26 @@ class JuntaCase(str, enum.Enum):
 
 @dataclass(frozen=True)
 class TheoremConfig:
-    """Constants and caps for the extraction engine.
+    """Empirical constants of the theorem and the arity cap for extraction.
 
-    ``premise_exponent`` of None means the default (2 - eps) / (1 - eps).
-    Validity ranges do not reject inputs; they set the within_validity flag
-    in diagnostics.
+    ``c_ns`` scales the premise bound and ``c_l`` the head budget; both must
+    be finite and positive.  ``arity_cap`` bounds the exact truth table and
+    must lie in [1, MAX_ARITY_CAP].  The premise exponent (2 - eps) / (1 - eps),
+    the validity range (VALIDITY_LIMIT) and the head cap of
+    :func:`~hsf.restriction.bias_profile` are fixed.
     """
 
     c_ns: float = 1.0
     c_l: float = 1.0
-    premise_exponent: float | None = None
     arity_cap: int = DEFAULT_ARITY_CAP
-    head_cap: int = DEFAULT_HEAD_CAP
-    epsilon_validity: tuple[float, float] = (0.0, 0.25)
-    delta_validity: tuple[float, float] = (0.0, 0.25)
 
     def __post_init__(self) -> None:
         _check_constant("c_ns", self.c_ns)
         _check_constant("c_l", self.c_l)
-        if self.arity_cap < 1 or self.head_cap < 1:
-            raise InvalidInputError("caps must be at least 1")
-        for lo, hi in (self.epsilon_validity, self.delta_validity):
-            if not 0.0 <= lo < hi <= 1.0:
-                raise InvalidInputError(f"validity range ({lo}, {hi}] is malformed")
+        if not 1 <= self.arity_cap <= MAX_ARITY_CAP:
+            raise InvalidInputError(
+                f"arity_cap must be in [1, {MAX_ARITY_CAP}], got {self.arity_cap}"
+            )
 
 
 @dataclass(frozen=True)
@@ -178,15 +179,11 @@ def junta_budget(epsilon: float, delta: float, c_l: float = 1.0) -> int:
     return max(1, math.ceil(raw))
 
 
-def premise_bound(
-    epsilon: float, delta: float, c_ns: float = 1.0, exponent: float | None = None
-) -> float:
+def premise_bound(epsilon: float, delta: float, c_ns: float = 1.0) -> float:
     """Noise-sensitivity premise c_ns * delta^((2-eps)/(1-eps)) * sqrt(eps)."""
     epsilon, delta = _check_eps_delta(epsilon, delta)
     c_ns = _check_constant("c_ns", c_ns)
-    if exponent is None:
-        exponent = (2.0 - epsilon) / (1.0 - epsilon)
-    return c_ns * delta**exponent * math.sqrt(epsilon)
+    return c_ns * delta ** ((2.0 - epsilon) / (1.0 - epsilon)) * math.sqrt(epsilon)
 
 
 def _check_eps_delta(epsilon: float, delta: float) -> tuple[float, float]:
@@ -203,11 +200,9 @@ def _check_constant(name: str, value: float) -> float:
     return value
 
 
-def best_junta_on(
-    f: BooleanFunction, head: int, head_cap: int = DEFAULT_HEAD_CAP
-) -> BooleanFunction:
+def best_junta_on(f: BooleanFunction, head: int) -> BooleanFunction:
     """Distance-optimal junta on the head coordinates: sign of each block bias."""
-    return _signs(bias_profile(f, head, head_cap=head_cap).biases)
+    return _signs(bias_profile(f, head).biases)
 
 
 def _signs(values) -> BooleanFunction:
@@ -217,9 +212,7 @@ def _signs(values) -> BooleanFunction:
     return BooleanFunction(values.size.bit_length() - 1, signs)
 
 
-def head_projection(
-    f: BooleanFunction, head: int, delta: float, head_cap: int = DEFAULT_HEAD_CAP
-) -> HeadProjection:
+def head_projection(f: BooleanFunction, head: int, delta: float) -> HeadProjection:
     """Overwrite unbiased head blocks with +1, project onto the head, take signs.
 
     Certified means at most a delta fraction of blocks was unbiased; the
@@ -227,7 +220,7 @@ def head_projection(
     residual of the overwritten function stays below 2 * delta.
     """
     delta = check_range("delta", delta, 0, 1, open_lo=True)
-    prof = bias_profile(f, head, head_cap=head_cap)
+    prof = bias_profile(f, head)
     unbiased = np.abs(prof.biases) <= 1.0 - delta
     frac = float(np.count_nonzero(unbiased)) / prof.biases.size
     # Projection onto head functions is blockwise conditional expectation, so
@@ -272,15 +265,12 @@ def extract_junta(
     ltf, table, spectrum = instance.ltf, instance.table, instance.spectrum
     n = table.arity
     ns_value = ns_exact(spectrum, epsilon)
-    bound = premise_bound(epsilon, delta, config.c_ns, config.premise_exponent)
+    bound = premise_bound(epsilon, delta, config.c_ns)
     premise_holds = ns_value <= bound
     ell = critical_index(ltf, epsilon)
     budget = junta_budget(epsilon, delta, config.c_l)
     small_delta = delta ** (1.0 / (1.0 - epsilon)) < math.sqrt(epsilon)
-    within = (
-        config.epsilon_validity[0] < epsilon <= config.epsilon_validity[1]
-        and config.delta_validity[0] < delta <= config.delta_validity[1]
-    )
+    within = epsilon <= VALIDITY_LIMIT and delta <= VALIDITY_LIMIT
 
     frac_unbiased = math.nan
     residual_sq = math.nan
@@ -294,11 +284,7 @@ def extract_junta(
     elif ell <= budget:
         head_size = int(ell)
         junta_set = head_mask(ltf, head_size)
-        if head_size > config.head_cap:
-            raise CapExceededError(
-                f"critical index {head_size} exceeds head cap {config.head_cap}"
-            )
-        proj = head_projection(table, junta_set, delta, head_cap=config.head_cap)
+        proj = head_projection(table, junta_set, delta)
         frac_unbiased = proj.frac_unbiased
         if proj.certified:
             case = JuntaCase.PROJECTION
@@ -321,12 +307,8 @@ def extract_junta(
             # The table ignores every other coordinate, so fix them all to +1.
             rest = ((1 << n) - 1) ^ junta_set
             approx = restrict(table, Restriction(rest, (1,) * _bits.popcount(rest)))
-        elif head_size <= config.head_cap:
-            approx = best_junta_on(table, junta_set, head_cap=config.head_cap)
         else:
-            raise CapExceededError(
-                f"head budget {head_size} exceeds head cap {config.head_cap}"
-            )
+            approx = best_junta_on(table, junta_set)
         guarantee = delta
 
     dist = distance(table, embed_junta(approx, junta_set, n))

@@ -132,7 +132,7 @@ def canonicalize(weights, theta: float) -> Ltf:
 
 def linear_form(ltf: Ltf, x: np.ndarray) -> np.ndarray:
     """w . x for a (rows, n_inputs) array, in canonical accumulation order."""
-    rows = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    rows = np.atleast_2d(np.asarray(x))
     acc = np.zeros(rows.shape[0])
     for p in range(ltf.weights.size):
         acc += ltf.weights[p] * rows[:, ltf.original_index[p]]

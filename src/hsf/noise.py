@@ -120,9 +120,7 @@ def ns_exact(spectrum: FourierSpectrum, epsilon: float) -> float:
     return 0.5 - 0.5 * float(np.dot(powers, weights))
 
 
-def ns_bruteforce(
-    f: BooleanFunction, epsilon: float, cap: int = DEFAULT_BRUTEFORCE_CAP
-) -> float:
+def ns_bruteforce(f: BooleanFunction, epsilon: float) -> float:
     """Noise sensitivity by direct summation over all flip patterns.
 
     O(4^n): for every flip mask, counts rows where f changes, then weights the
@@ -130,8 +128,10 @@ def ns_bruteforce(
     cross-check of :func:`ns_exact`; keep both routes intact.
     """
     epsilon = check_range("epsilon", epsilon, 0, 1)
-    if f.arity > cap:
-        raise CapExceededError(f"arity {f.arity} exceeds brute-force cap {cap}")
+    if f.arity > DEFAULT_BRUTEFORCE_CAP:
+        raise CapExceededError(
+            f"arity {f.arity} exceeds brute-force cap {DEFAULT_BRUTEFORCE_CAP}"
+        )
     n = f.arity
     size = 1 << n
     idx = np.arange(size)
@@ -178,9 +178,7 @@ def gaussian_tail(theta):
 
 def gaussian_cdf(t):
     """P[N(0,1) <= t]."""
-    from scipy import special  # loaded on first use: ~0.4 s that most commands never need
-    out = 0.5 * special.erfc(-np.asarray(t, dtype=np.float64) / math.sqrt(2.0))
-    return float(out) if np.isscalar(t) or np.ndim(t) == 0 else out
+    return gaussian_tail(-np.asarray(t, dtype=np.float64))
 
 
 def tail_ratio(theta):
@@ -324,6 +322,8 @@ def regular_cdf_gap(ltf: Ltf, t_grid=None, cap: int = DEFAULT_ARITY_CAP) -> floa
         grid = np.asarray(t_grid, dtype=np.float64)
         if grid.size == 0:
             raise InvalidInputError("t grid must be nonempty")
+        if np.isnan(grid).any():
+            raise InvalidInputError("t grid must not contain NaN")
         ecdf = np.searchsorted(np.sort(values), grid, side="right") / size
         return float(np.max(np.abs(ecdf - gaussian_cdf(grid))))
     uniq, counts = np.unique(values, return_counts=True)

@@ -14,6 +14,7 @@ can only shrink on average under restriction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,11 @@ def _check_head(head: int, arity: int) -> list[int]:
     if head < 0 or head >= (1 << arity):
         raise InvalidInputError(f"head mask {head:#x} out of range for arity {arity}")
     return _bits.bit_positions(head)
+
+
+def _check_head_size(h: int, head_cap: int) -> None:
+    if h > head_cap:
+        raise CapExceededError(f"head size {h} exceeds head cap {head_cap}")
 
 
 @dataclass(frozen=True)
@@ -124,10 +130,8 @@ class NsAggregation:
     def threshold_corollary(self, t: float, delta: float) -> ThresholdCorollary:
         """If more than a delta fraction of restrictions exceed t, the parent
         noise sensitivity must be at least t * delta."""
-        t = float(t)
+        t = check_range("t", t, 0, math.inf)
         delta = float(delta)
-        if t < 0.0:
-            raise InvalidInputError(f"t must be nonnegative, got {t}")
         if not 0.0 < delta < 1.0:
             raise InvalidInputError(f"delta must be in (0, 1), got {delta}")
         frac = float(np.count_nonzero(self.restricted > t)) / self.restricted.size
@@ -159,8 +163,7 @@ def bias_profile(f: BooleanFunction, head: int, head_cap: int = DEFAULT_HEAD_CAP
     """E[f] conditioned on every assignment of the head coordinates."""
     head_pos = _check_head(head, f.arity)
     h = len(head_pos)
-    if h > head_cap:
-        raise CapExceededError(f"head size {h} exceeds cap {head_cap}")
+    _check_head_size(h, head_cap)
     # On the (2,)*n cube view, moving the head axes to the front (highest
     # coordinate first) makes each row one block, in packed-index order.
     # Block sums of +-1 entries are exact integers, so the summation order
@@ -205,9 +208,7 @@ def restriction_energy_identity(
     return RestrictionEnergy(lhs=lhs, rhs=rhs, gap=abs(lhs - rhs))
 
 
-def ns_aggregation_check(
-    f: BooleanFunction, head: int, epsilon: float, head_cap: int = DEFAULT_HEAD_CAP
-) -> NsAggregation:
+def ns_aggregation_check(f: BooleanFunction, head: int, epsilon: float) -> NsAggregation:
     """Noise sensitivity of f against its mean over head restrictions.
 
     Restricting can only lower noise sensitivity on average; the result also
@@ -215,8 +216,7 @@ def ns_aggregation_check(
     """
     head_pos = _check_head(head, f.arity)
     h = len(head_pos)
-    if h > head_cap:
-        raise CapExceededError(f"head size {h} exceeds cap {head_cap}")
+    _check_head_size(h, DEFAULT_HEAD_CAP)
     restricted = np.empty(1 << h)
     for a in range(1 << h):
         g = restrict(f, Restriction.from_index(head, a))

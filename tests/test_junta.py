@@ -27,6 +27,7 @@ from hsf import (
     theorem_verify,
     truth_table,
 )
+from hsf.fncore import MAX_ARITY_CAP
 
 EPS = 0.25
 WIDE_DELTA = 0.62  # small enough premise, large enough to dodge the small-delta guard
@@ -56,11 +57,6 @@ class TestBudgetAndPremise:
             2 * 0.002448436746822227, abs=1e-17
         )
 
-    def test_premise_exponent_override(self):
-        assert premise_bound(0.1, 0.1, exponent=2.0) == pytest.approx(
-            0.01 * math.sqrt(0.1), abs=1e-17
-        )
-
     @pytest.mark.parametrize("eps,delta", [(0.0, 0.5), (0.6, 0.5), (0.1, 0.0), (0.1, 1.1)])
     def test_range_validation(self, eps, delta):
         with pytest.raises(InvalidInputError):
@@ -72,7 +68,10 @@ class TestBudgetAndPremise:
         with pytest.raises(InvalidInputError):
             TheoremConfig(c_ns=0.0)
         with pytest.raises(InvalidInputError):
-            TheoremConfig(head_cap=0)
+            TheoremConfig(arity_cap=0)
+        assert TheoremConfig(arity_cap=MAX_ARITY_CAP).arity_cap == MAX_ARITY_CAP
+        with pytest.raises(InvalidInputError, match="arity_cap must be in"):
+            TheoremConfig(arity_cap=MAX_ARITY_CAP + 1)
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_constants_must_be_finite(self, value):
@@ -229,13 +228,6 @@ class TestCaseRouting:
         outside = extract_junta(canonicalize(np.ones(15), 0.0), 0.25, WIDE_DELTA)
         assert not outside.diagnostics.within_validity
 
-    def test_premise_exponent_config_threads_through(self):
-        config = TheoremConfig(premise_exponent=1.0)
-        report = extract_junta(canonicalize(np.ones(15), 0.0), 0.25, 0.2, config)
-        assert report.diagnostics.premise_bound == pytest.approx(
-            premise_bound(0.25, 0.2, exponent=1.0), abs=1e-15
-        )
-
 
 class TestCapsAndValidation:
     def test_extract_validates_ranges(self):
@@ -251,16 +243,26 @@ class TestCapsAndValidation:
             extract_junta(lt, 0.25, 0.62)
 
     def test_head_cap_in_projection_case(self):
-        lt = canonicalize(np.concatenate(([2.0], np.ones(17))), 0.0)
-        config = TheoremConfig(head_cap=1)
-        with pytest.raises(CapExceededError, match="head cap"):
-            extract_junta(lt, EPS, HUGE_DELTA, config)
+        # Critical index 18 within budget 21: the projection head is too big.
+        weights = np.concatenate([0.5 ** np.arange(1, 18), np.full(5, 1e-6)])
+        config = TheoremConfig(c_l=70, arity_cap=22)
+        with pytest.raises(CapExceededError, match="exceeds head cap 16"):
+            extract_junta(canonicalize(weights, 0.0), 0.5, 0.9, config)
 
     def test_head_cap_in_budget_case(self):
-        lt = canonicalize(0.6 ** np.arange(1, 19), 0.0)
-        config = TheoremConfig(head_cap=8)
-        with pytest.raises(CapExceededError, match="head cap"):
-            extract_junta(lt, EPS, WIDE_DELTA, config)
+        # Budget 17 below the 20 active coordinates: the budget head is too big.
+        lt = canonicalize(0.6 ** np.arange(1, 21), 0.0)
+        with pytest.raises(CapExceededError, match="exceeds head cap 16"):
+            extract_junta(lt, EPS, WIDE_DELTA, TheoremConfig(c_l=1.6))
+
+    def test_whole_function_head_ignores_head_cap(self):
+        # Budget 20 covers all 20 active coordinates: the table itself is the
+        # junta, so no bias profile is taken and the head cap does not apply.
+        lt = canonicalize(0.6 ** np.arange(1, 21), 0.0)
+        report = extract_junta(lt, EPS, WIDE_DELTA, TheoremConfig(c_l=1.8))
+        assert report.case is JuntaCase.HEAD_JUNTA
+        assert report.junta_size == 20
+        assert report.distance == 0.0
 
 
 class TestVerdicts:

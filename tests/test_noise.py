@@ -94,7 +94,7 @@ class TestNoiseSensitivityRoutes:
 
     def test_bruteforce_cap(self):
         with pytest.raises(CapExceededError):
-            ns_bruteforce(random_function(7, seed=0), 0.1, cap=6)
+            ns_bruteforce(random_function(13, seed=0), 0.1)
 
     def test_epsilon_validation(self):
         with pytest.raises(InvalidInputError):
@@ -130,6 +130,19 @@ class TestGaussianTail:
         for t in (0.3, 1.7, 4.0):
             assert gaussian_tail(-t) == pytest.approx(1 - gaussian_tail(t), abs=1e-15)
             assert gaussian_cdf(t) == pytest.approx(1 - gaussian_tail(t), abs=1e-15)
+
+    def test_cdf_is_the_erfc_formula_bit_for_bit(self):
+        from scipy import special
+
+        t = np.concatenate([
+            5.0 * np.random.default_rng(7).standard_normal(10_000),
+            [0.0, -0.0, math.inf, -math.inf, math.nan, 40.0, -40.0, 1e-300, -1e-300],
+        ])
+        expected = 0.5 * special.erfc(-t / math.sqrt(2.0))
+        assert gaussian_cdf(t).tobytes() == expected.tobytes()
+        assert isinstance(gaussian_cdf([0.0, 1.0]), np.ndarray)
+        assert type(gaussian_cdf(np.asarray(1.0))) is float
+        assert type(gaussian_cdf(1.0)) is float
 
     def test_tail_ratio_frozen(self):
         assert tail_ratio(0.0) == 0.5
@@ -275,6 +288,12 @@ class TestChecks:
     def test_gap_rejects_empty_grid(self):
         with pytest.raises(InvalidInputError, match="nonempty"):
             regular_cdf_gap(canonicalize(np.ones(4), 0.0), t_grid=[])
+
+    def test_gap_grid_rejects_nan_and_takes_infinities(self):
+        lt = canonicalize(np.ones(4), 0.0)
+        with pytest.raises(InvalidInputError, match="NaN"):
+            regular_cdf_gap(lt, t_grid=[0.5, math.nan])
+        assert regular_cdf_gap(lt, t_grid=[-math.inf, math.inf]) == 0.0
 
     def test_quadrant_mc_on_dictator(self):
         # One active coordinate: the joint probability is (1 - eps) / 2.

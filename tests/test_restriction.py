@@ -1,5 +1,7 @@
 """Restrictions, bias profiles, energy and aggregation identities."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -192,6 +194,9 @@ class TestAggregation:
             agg.threshold_corollary(t=-0.1, delta=0.5)
         with pytest.raises(InvalidInputError):
             agg.threshold_corollary(t=0.1, delta=1.0)
+        for t, delta in ((math.nan, 0.5), (0.1, math.nan)):
+            with pytest.raises(InvalidInputError):
+                agg.threshold_corollary(t=t, delta=delta)
 
 
 class TestEmbedJunta:
