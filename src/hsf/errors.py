@@ -1,4 +1,6 @@
-"""Exception types and the range check shared across the package."""
+"""Exception types and the range and int checks shared across the package."""
+
+import numbers
 
 
 class HsfError(Exception):
@@ -24,3 +26,10 @@ def check_range(name: str, value, lo: float, hi: float, open_lo: bool = False) -
         bracket = "(" if open_lo else "["
         raise InvalidInputError(f"{name} must be in {bracket}{lo:g}, {hi:g}], got {value}")
     return value
+
+
+def check_int(name: str, value) -> int:
+    """``value`` as an int; floats, bools and non-numbers fail."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidInputError(f"{name} must be an int, got {value!r}")
+    return int(value)

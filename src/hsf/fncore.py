@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _bits
-from .errors import CapExceededError, InvalidInputError
+from .errors import CapExceededError, InvalidInputError, check_int
 
 DEFAULT_ARITY_CAP = 20
 MAX_ARITY_CAP = 24
@@ -35,9 +35,7 @@ _NARROW_BLOCK = 8
 
 
 def _check_arity(n: int, cap: int) -> None:
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise InvalidInputError(f"arity must be an int, got {n!r}")
-    if n < 0:
+    if check_int("arity", n) < 0:
         raise InvalidInputError(f"arity must be nonnegative, got {n}")
     if n > cap:
         raise CapExceededError(f"arity {n} exceeds cap {cap}")

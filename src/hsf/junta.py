@@ -28,18 +28,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _bits
-from .errors import CapExceededError, InvalidInputError, check_range
+from .errors import CapExceededError, InvalidInputError, check_int, check_range
 from .fncore import (
     DEFAULT_ARITY_CAP,
     MAX_ARITY_CAP,
     BooleanFunction,
     FourierSpectrum,
-    distance,
     wht,
 )
 from .ltf import Ltf, critical_index, head_mask, truth_table
 from .noise import CHECK_TOL, ns_exact
-from .restriction import BiasProfile, Restriction, bias_profile, embed_junta, restrict
+from .restriction import BiasProfile, Restriction, bias_profile, restrict
 
 # Reports with eps and delta both at most this are flagged within_validity;
 # larger values are still extracted, only the flag records the range.
@@ -65,7 +64,7 @@ class TheoremConfig:
 
     ``c_ns`` scales the premise bound and ``c_l`` the head budget; both must
     be finite and positive.  ``arity_cap`` bounds the exact truth table and
-    must lie in [1, MAX_ARITY_CAP].  The premise exponent (2 - eps) / (1 - eps),
+    is an int in [1, MAX_ARITY_CAP].  The premise exponent (2 - eps) / (1 - eps),
     the validity range (VALIDITY_LIMIT) and the head cap of
     :func:`~hsf.restriction.bias_profile` are fixed.
     """
@@ -77,10 +76,7 @@ class TheoremConfig:
     def __post_init__(self) -> None:
         _check_constant("c_ns", self.c_ns)
         _check_constant("c_l", self.c_l)
-        if not 1 <= self.arity_cap <= MAX_ARITY_CAP:
-            raise InvalidInputError(
-                f"arity_cap must be in [1, {MAX_ARITY_CAP}], got {self.arity_cap}"
-            )
+        check_range("arity_cap", check_int("arity_cap", self.arity_cap), 1, MAX_ARITY_CAP)
 
 
 @dataclass(frozen=True)
@@ -205,11 +201,13 @@ def best_junta_on(f: BooleanFunction, head: int) -> BooleanFunction:
     return _signs(bias_profile(f, head).biases)
 
 
-def _signs(values) -> BooleanFunction:
+def _signs(values: np.ndarray) -> BooleanFunction:
     # sign(v) with sign(0) = +1, one table row per value.
-    values = np.asarray(values).reshape(-1)
     signs = np.where(values >= 0.0, 1, -1).astype(np.int8)
     return BooleanFunction(values.size.bit_length() - 1, signs)
+
+
+_PLUS, _MINUS = (BooleanFunction(0, np.array([v], dtype=np.int8)) for v in (1, -1))
 
 
 def head_projection(f: BooleanFunction, head: int, delta: float) -> HeadProjection:
@@ -279,13 +277,15 @@ def extract_junta(
     if small_delta or ell == 1:
         case = JuntaCase.SMALL_DELTA if small_delta else JuntaCase.CONSTANT
         junta_set = 0
-        approx = _signs(spectrum.coefficients[0])
+        biases = spectrum.coefficients[:1]  # E[f]: the one block of the empty head
+        approx = _PLUS if biases[0] >= 0.0 else _MINUS
         guarantee = delta
     elif ell <= budget:
         head_size = int(ell)
         junta_set = head_mask(ltf, head_size)
         proj = head_projection(table, junta_set, delta)
         frac_unbiased = proj.frac_unbiased
+        biases = proj.profile.biases
         if proj.certified:
             case = JuntaCase.PROJECTION
             approx = proj.approximator
@@ -293,7 +293,7 @@ def extract_junta(
             guarantee = 3.0 * delta
         else:
             case = JuntaCase.PREMISE_VIOLATED
-            approx = _signs(proj.profile.biases)
+            approx = _signs(biases)
             # Lower bound on noise sensitivity implied by the unbiased blocks
             # through the restriction threshold argument; exceeding the
             # premise with it is what this case asserts.
@@ -307,11 +307,16 @@ def extract_junta(
             # The table ignores every other coordinate, so fix them all to +1.
             rest = ((1 << n) - 1) ^ junta_set
             approx = restrict(table, Restriction(rest, (1,) * _bits.popcount(rest)))
+            biases = approx.values.astype(np.float64)  # the table is constant per block
         else:
-            approx = best_junta_on(table, junta_set)
+            biases = bias_profile(table, junta_set).biases
+            approx = _signs(biases)
         guarantee = delta
 
-    dist = distance(table, embed_junta(approx, junta_set, n))
+    # Head block b has 2^(n-h) rows summing to m_b = biases[b] * 2^(n-h), so the
+    # sum of g_b m_b is agreements minus disagreements; integers <= 2^n are exact.
+    agree_minus_disagree = np.dot(approx.values, biases) * float(1 << (n - approx.arity))
+    dist = ((1 << n) - int(agree_minus_disagree)) // 2 / (1 << n)
     diags = Diagnostics(
         epsilon=epsilon,
         delta=delta,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceededError, DegenerateLtfError, InvalidInputError, check_range
+from .errors import CapExceededError, DegenerateLtfError, InvalidInputError, check_int, check_range
 from .fncore import DEFAULT_ARITY_CAP, BooleanFunction
 
 INFINITE_INDEX = math.inf
@@ -220,9 +220,7 @@ def head_mask(ltf: Ltf, size: int) -> int:
 def head_split(ltf: Ltf, ell: int) -> HeadSplit:
     """Split sorted positions into head 1..ell and tail ell+1..n_active."""
     m = ltf.weights.size
-    if not isinstance(ell, (int, np.integer)) or isinstance(ell, bool):
-        raise InvalidInputError(f"ell must be an int, got {ell!r}")
-    if not 1 <= ell <= m:
+    if not 1 <= check_int("ell", ell) <= m:
         raise InvalidInputError(f"ell must be in [1, {m}], got {ell}")
     head = {p + 1: float(ltf.weights[p]) for p in range(ell)}
     tail = {p + 1: float(ltf.weights[p]) for p in range(ell, m)}
@@ -281,7 +279,7 @@ def random_ltf(
     draw happens after the weights, so instances with the same seed share
     weights across theta laws.
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
+    if check_int("n", n) < 1:
         raise InvalidInputError(f"n must be a positive int, got {n!r}")
     kind = _FAMILY_ALIASES.get(family)
     if kind is None:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _bits, ltf as ltf_mod
-from .errors import CapExceededError, InvalidInputError, check_range
+from .errors import CapExceededError, InvalidInputError, check_int, check_range
 from .fncore import DEFAULT_ARITY_CAP, BooleanFunction, FourierSpectrum
 from .ltf import Ltf
 
@@ -34,6 +34,7 @@ MC_FAILURE_PROB = 1e-6
 CHECK_TOL = 1e-12
 
 _MC_CHUNK = 1 << 17
+_FLIP_ROWS = 1 << 13  # flip uniforms drawn at once: 1 MiB of float64 at n = 16
 
 
 @dataclass(frozen=True)
@@ -77,7 +78,7 @@ class QuadrantComparison:
 
 def hoeffding_radius(samples: int) -> float:
     """Two-sided Hoeffding radius for a mean of ``samples`` {0,1} draws."""
-    if not isinstance(samples, (int, np.integer)) or isinstance(samples, bool) or samples < 1:
+    if check_int("samples", samples) < 1:
         raise InvalidInputError(f"samples must be a positive int, got {samples!r}")
     return math.sqrt(math.log(2.0 / MC_FAILURE_PROB) / (2.0 * samples))
 
@@ -93,9 +94,12 @@ def _mc_chunks(samples: int, seed):
 
 
 def _flipped_pair(rng, m: int, n: int, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
-    # m uniform +-1 points and copies with each coordinate flipped w.p. eps.
+    # m uniform +-1 points and copies with each coordinate flipped w.p. eps; the
+    # flip uniforms come in row blocks, in the stream order of one (m, n) draw.
     x = 1 - 2 * rng.integers(0, 2, size=(m, n), dtype=np.int8)
-    flips = rng.random(size=(m, n)) < epsilon
+    flips = np.empty((m, n), dtype=bool)
+    for rows in np.split(flips, range(_FLIP_ROWS, m, _FLIP_ROWS)):
+        np.less(rng.random(size=rows.shape), epsilon, out=rows)
     return x, np.where(flips, -x, x)
 
 

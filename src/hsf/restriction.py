@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _bits
-from .errors import CapExceededError, InvalidInputError, check_range
+from .errors import CapExceededError, InvalidInputError, check_int, check_range
 from .fncore import BooleanFunction, wht
 from .noise import CHECK_TOL, ns_exact
 
@@ -28,9 +28,7 @@ DEFAULT_HEAD_CAP = 16
 
 
 def _check_head(head: int, arity: int) -> list[int]:
-    if not isinstance(head, (int, np.integer)) or isinstance(head, bool):
-        raise InvalidInputError(f"head must be an int bitmask, got {head!r}")
-    if head < 0 or head >= (1 << arity):
+    if not 0 <= check_int("head", head) < (1 << arity):
         raise InvalidInputError(f"head mask {head:#x} out of range for arity {arity}")
     return _bits.bit_positions(head)
 
@@ -235,6 +233,7 @@ def embed_junta(g: BooleanFunction, head: int, arity: int) -> BooleanFunction:
     """Lift a function of the head coordinates to the full cube.
 
     Variable j of ``g`` is identified with the j-th smallest head coordinate.
+    With ``fncore.distance``, the test oracle for ``extract_junta`` distances.
     """
     head_pos = _check_head(head, arity)
     if g.arity != len(head_pos):

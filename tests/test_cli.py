@@ -1,13 +1,16 @@
 """Command-line surface: exit codes, CSV contracts, seeding, and errors."""
 
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hsf
-from hsf import Verdict, cli, extract_junta, load_ltf_file, save_ltf_file
+from hsf import JuntaCase, Verdict, cli, extract_junta, load_ltf_file, save_ltf_file
 
 JUNTA_HEADER = (
     "case,junta_size,L,ell,ns,premise_bound,premise_holds,distance,guarantee,verdict"
@@ -260,3 +263,26 @@ class TestSeedAndUsage:
         )
         assert result.returncode == 0
         assert hsf.__version__ in result.stdout
+
+
+class TestFormat:
+    FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-310,
+              2.2250738585072014e-308, 0.1, 1 / 3, -1e300, 1.7976931348623157e308, 12.0]
+
+    @pytest.mark.parametrize("value", FLOATS)
+    def test_float_cells_have_seventeen_digits(self, value):
+        for cell in (value, np.float64(value)):
+            assert cli._fmt(cell) == f"{float(cell):.17g}"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+    def test_any_float_matches_the_general_branch(self, value):
+        assert cli._fmt(value) == cli._fmt(np.float64(value)) == f"{value:.17g}"
+
+    @pytest.mark.parametrize("cell, text", [
+        (True, "true"), (False, "false"), (np.bool_(True), "true"), (0, "0"),
+        (-7, "-7"), (np.int64(2**40), "1099511627776"), (np.uint8(255), "255"),
+        (None, ""), (JuntaCase.PROJECTION, "IIb_Projection"), ("a,b", '"a,b"'),
+    ])
+    def test_other_cells_are_unchanged(self, cell, text):
+        assert cli._fmt(cell) == text

@@ -73,6 +73,12 @@ class TestBudgetAndPremise:
         with pytest.raises(InvalidInputError, match="arity_cap must be in"):
             TheoremConfig(arity_cap=MAX_ARITY_CAP + 1)
 
+    @pytest.mark.parametrize("cap", [4.5, 20.0, True, np.bool_(True), "20", None])
+    def test_arity_cap_must_be_an_int(self, cap):
+        with pytest.raises(InvalidInputError, match="arity_cap must be an int"):
+            TheoremConfig(arity_cap=cap)
+        assert TheoremConfig(arity_cap=np.int64(4)).arity_cap == 4
+
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_constants_must_be_finite(self, value):
         with pytest.raises(InvalidInputError, match="c_ns must be finite and positive"):

@@ -6,24 +6,31 @@ profiles) promise the same floating-point addition sequence, or the same
 gathered rows, as the slow routes in ``_oracles``, so equality is asserted on
 ``tobytes()``, never with a tolerance.  Arities reach 18 so the 2**16-entry
 chunking boundary is crossed.  The in-place int32 transform must match the
-float64 butterfly divided by 2**n exactly, up to arity 22.
+float64 butterfly divided by 2**n exactly, up to arity 22.  The distance an
+extraction reads from block counts must equal, byte for byte, the distance of
+its junta lifted to the full table, in every case.
 """
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+import hsf
 from hsf import (
     BooleanFunction,
     FourierSpectrum,
     Restriction,
+    TheoremConfig,
     bias_profile,
     canonicalize,
     degree_weights,
+    distance,
     embed_junta,
+    extract_junta,
     linear_form_table,
     ns_exact,
+    prepare,
     random_function,
     restrict,
     synthesize,
@@ -41,6 +48,7 @@ from _oracles import (
     slow_popcounts,
     slow_restrict,
 )
+from test_head_routes import _weights_theta_delta
 
 MAX_N = 18
 
@@ -251,3 +259,84 @@ class TestAliasing:
         second = FourierSpectrum(5, first.coefficients)
         assert not np.shares_memory(first.coefficients, second.coefficients)
         assert not second.coefficients.flags.writeable
+
+
+# Exact distances from block counts against the lifted junta.  Explicit inputs
+# reach every case label and the head that is every active coordinate:
+# (label, ltf, epsilon, delta, c_l, whole head).
+_LATTICE_14 = np.r_[1.5, np.ones(13)]
+_CASE_INPUTS = [
+    ("SmallDeltaConstant", canonicalize(np.ones(15), 0.0), 0.25, 0.05, 1.0, False),
+    ("I_Constant", canonicalize(np.ones(16), 8.0), 0.25, 0.62, 1.0, False),
+    ("IIb_Projection", canonicalize(_LATTICE_14, 0.0), 0.3, 0.7, 3.0, False),
+    ("IIa_PremiseViolated", canonicalize(_LATTICE_14, 0.5), 0.3, 0.7, 3.0, False),
+    *[
+        (case, canonicalize(*_weights_theta_delta(seed)[:2]), 0.25,
+         _weights_theta_delta(seed)[2], 1.0, False)
+        for case, seed in [("IIb_Projection", 2), ("IIa_PremiseViolated", 23),
+                           ("III_HeadJunta", 0)]
+    ],
+    ("III_HeadJunta", canonicalize([8, 0, 4, 2, 1], 0.3), 0.25, 0.8, 1.0, True),
+    ("III_HeadJunta", canonicalize([1.0, 1.0, 1.0], 5.0), 0.25, 0.62, 1.0, True),
+]
+
+
+def _check_distance_against_lift(instance, epsilon, delta, c_l):
+    report = extract_junta(instance, epsilon, delta, TheoremConfig(c_l=c_l))
+    lifted = embed_junta(report.approximator, report.junta_set, instance.table.arity)
+    assert type(report.distance) is float
+    expected = distance(instance.table, lifted)
+    assert np.float64(report.distance).tobytes() == np.float64(expected).tobytes()
+    return report
+
+
+@pytest.mark.parametrize("case, lt, epsilon, delta, c_l, whole", _CASE_INPUTS)
+def test_distance_matches_lifted_junta_in_every_case(case, lt, epsilon, delta, c_l, whole):
+    report = _check_distance_against_lift(prepare(lt), epsilon, delta, c_l)
+    assert str(report.case) == case
+    assert (report.junta_size == lt.n_active) == whole
+
+
+@st.composite
+def head_over_lattice(draw, max_n=16):
+    # 1-3 dominant weights over an equal-weight tail, at eps and delta where
+    # the critical index is small and finite: the head routes.
+    n = draw(st.integers(8, max_n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    h = int(rng.integers(1, 4))
+    w = np.concatenate([rng.uniform(1.0, 2.0, size=h), np.ones(n - h)])
+    w = (w * rng.choice([-1.0, 1.0], size=n))[rng.permutation(n)]
+    theta = draw(st.sampled_from([0.0, float(rng.normal())]))
+    epsilon = draw(st.sampled_from([0.3, 0.35, 0.45]))
+    return (w, theta), epsilon, draw(st.sampled_from([0.66, 0.7, 0.8, 0.95])), 3.0
+
+
+@st.composite
+def any_weights(draw):
+    epsilon = draw(st.sampled_from([0.05, 0.1, 0.25, 0.45]))
+    delta = draw(st.sampled_from([0.05, 0.3, 0.62, 0.8, 0.95]))
+    c_l = draw(st.sampled_from([0.03, 1.0, 3.0]))
+    return draw(weights_and_theta(max_n=16)), epsilon, delta, c_l
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(any_weights(), head_over_lattice()))
+def test_distance_matches_lifted_junta(args):
+    wt, epsilon, delta, c_l = args
+    report = _check_distance_against_lift(prepare(canonicalize(*wt)), epsilon, delta, c_l)
+    event(str(report.case))
+
+
+def test_extraction_never_lifts_or_compares_tables(monkeypatch):
+    # The lift and the table comparison are the oracle of the tests above, so
+    # no case of the extraction may reach them.
+    def refuse(*args, **kwargs):
+        raise AssertionError("extract_junta reached the 2^n oracle route")
+
+    prepared = [(case, prepare(lt), eps, delta, TheoremConfig(c_l=c_l))
+                for case, lt, eps, delta, c_l, _ in _CASE_INPUTS]
+    monkeypatch.setattr(hsf.restriction, "embed_junta", refuse)
+    monkeypatch.setattr(hsf.fncore, "distance", refuse)
+    assert not hasattr(hsf.junta, "embed_junta") and not hasattr(hsf.junta, "distance")
+    for case, instance, eps, delta, config in prepared:
+        assert str(extract_junta(instance, eps, delta, config).case) == case

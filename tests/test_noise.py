@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from hsf import noise
 from hsf import (
     CapExceededError,
     InvalidInputError,
@@ -326,3 +327,13 @@ class TestSeededMonteCarlo:
             self.SAMPLES, seed=63,
         )
         assert cmp.boolean.value == 0.5066349778834071
+
+    def test_flips_in_row_blocks_keep_the_stream_of_one_draw(self):
+        # A chunk that is not a whole number of row blocks.
+        m, n, eps = 3 * noise._FLIP_ROWS + 5, 3, 0.3
+        x, y = noise._flipped_pair(np.random.default_rng(64), m, n, eps)
+        rng = np.random.default_rng(64)
+        x_one = 1 - 2 * rng.integers(0, 2, size=(m, n), dtype=np.int8)
+        flips = rng.random(size=(m, n)) < eps
+        assert x.tobytes() == x_one.tobytes()
+        assert y.tobytes() == np.where(flips, -x_one, x_one).tobytes()
