@@ -71,16 +71,14 @@ _ANALYZE_HEADER = "section,key,value"
 
 
 def _fmt(value) -> str:
-    if type(value) is float:  # most cells; same bytes as the np.floating branch
-        return f"{value:.17g}"
+    if isinstance(value, (float, np.floating)):  # most cells, so tested first
+        return f"{float(value):.17g}"
     if value is None:
         return ""
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.17g}"
     text = str(value)
     if any(ch in text for ch in ',"\r\n'):
         text = '"' + text.replace('"', '""') + '"'

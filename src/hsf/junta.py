@@ -207,9 +207,6 @@ def _signs(values: np.ndarray) -> BooleanFunction:
     return BooleanFunction(values.size.bit_length() - 1, signs)
 
 
-_PLUS, _MINUS = (BooleanFunction(0, np.array([v], dtype=np.int8)) for v in (1, -1))
-
-
 def head_projection(f: BooleanFunction, head: int, delta: float) -> HeadProjection:
     """Overwrite unbiased head blocks with +1, project onto the head, take signs.
 
@@ -278,7 +275,7 @@ def extract_junta(
         case = JuntaCase.SMALL_DELTA if small_delta else JuntaCase.CONSTANT
         junta_set = 0
         biases = spectrum.coefficients[:1]  # E[f]: the one block of the empty head
-        approx = _PLUS if biases[0] >= 0.0 else _MINUS
+        approx = _signs(biases)
         guarantee = delta
     elif ell <= budget:
         head_size = int(ell)

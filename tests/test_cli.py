@@ -276,7 +276,7 @@ class TestFormat:
 
     @settings(max_examples=300, deadline=None)
     @given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
-    def test_any_float_matches_the_general_branch(self, value):
+    def test_any_float_as_float_or_float64(self, value):
         assert cli._fmt(value) == cli._fmt(np.float64(value)) == f"{value:.17g}"
 
     @pytest.mark.parametrize("cell, text", [
