@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from . import __version__, _bits
-from .errors import HsfError, InvalidInputError
+from .errors import CapExceededError, HsfError, InvalidInputError
 from .fncore import DEFAULT_ARITY_CAP, MAX_ARITY_CAP, random_function, wht
 from .junta import TheoremConfig, extract_junta, prepare, theorem_verify
 from .ltf import (
@@ -173,9 +173,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     )
     if head_ell is not None:
         mask = head_mask(lt, int(head_ell))
-        biases = bias_profile(
-            instance.table, mask, head_cap=max(16, int(head_ell))
-        ).biases
+        biases = bias_profile(instance.table, mask, head_cap=max(16, int(head_ell)))
         rows.extend(
             [
                 ("bias", "tau", head_tau),
@@ -261,6 +259,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     deltas = _floats(args.deltas, "--deltas")
     if args.count < 0:
         raise InvalidInputError(f"--count must be nonnegative, got {args.count}")
+    if args.n > args.max_n:  # before any n-long draw
+        raise CapExceededError(f"arity {args.n} exceeds cap {args.max_n}")
     config = TheoremConfig(c_ns=args.c_ns, c_l=args.c_l, arity_cap=args.max_n)
     rows: list[tuple] = []
     failed = False
@@ -463,15 +463,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_seed(args: argparse.Namespace) -> int:
-    if args.seed is not None:
-        return args.seed
+    seed, source = args.seed, "--seed"
     env = os.environ.get("HSF_SEED")
-    if env is not None and env != "":
+    if seed is None and env:
+        source = "HSF_SEED"
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             raise InvalidInputError(f"HSF_SEED must be an integer, got {env!r}") from None
-    return 0
+    if seed is not None and seed < 0:
+        raise InvalidInputError(f"{source} must be nonnegative, got {seed}")
+    return seed or 0
 
 
 def main(argv=None) -> int:

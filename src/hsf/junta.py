@@ -38,7 +38,7 @@ from .fncore import (
 )
 from .ltf import Ltf, critical_index, head_mask, truth_table
 from .noise import CHECK_TOL, ns_exact
-from .restriction import BiasProfile, Restriction, bias_profile, restrict
+from .restriction import bias_profile, restrict
 
 # Reports with eps and delta both at most this are flagged within_validity;
 # larger values are still extracted, only the flag records the range.
@@ -131,14 +131,14 @@ class Verdict:
 class HeadProjection:
     """Junta built by overwriting unbiased head blocks and projecting.
 
-    ``profile`` is the bias profile of the head the projection was read from.
+    ``biases`` is the bias profile of the head the projection was read from.
     """
 
     approximator: BooleanFunction
     certified: bool
     residual_sq: float
     frac_unbiased: float
-    profile: BiasProfile
+    biases: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -171,8 +171,11 @@ def junta_budget(epsilon: float, delta: float, c_l: float = 1.0) -> int:
     """Head budget L = max(1, ceil(c_l * eps^-2 * ln(1/eps) * ln(1/delta)))."""
     epsilon, delta = _check_eps_delta(epsilon, delta)
     c_l = _check_constant("c_l", c_l)
-    raw = c_l * epsilon**-2 * math.log(1.0 / epsilon) * math.log(1.0 / delta)
-    return max(1, math.ceil(raw))
+    try:  # eps**-2 or ceil(inf) overflows, ceil(nan) is a ValueError
+        raw = c_l * epsilon**-2 * math.log(1.0 / epsilon) * math.log(1.0 / delta)
+        return max(1, math.ceil(raw))
+    except (OverflowError, ValueError):
+        raise InvalidInputError(f"budget L is not finite at eps={epsilon}, c_l={c_l}") from None
 
 
 def premise_bound(epsilon: float, delta: float, c_ns: float = 1.0) -> float:
@@ -198,7 +201,7 @@ def _check_constant(name: str, value: float) -> float:
 
 def best_junta_on(f: BooleanFunction, head: int) -> BooleanFunction:
     """Distance-optimal junta on the head coordinates: sign of each block bias."""
-    return _signs(bias_profile(f, head).biases)
+    return _signs(bias_profile(f, head))
 
 
 def _signs(values: np.ndarray) -> BooleanFunction:
@@ -215,12 +218,12 @@ def head_projection(f: BooleanFunction, head: int, delta: float) -> HeadProjecti
     residual of the overwritten function stays below 2 * delta.
     """
     delta = check_range("delta", delta, 0, 1, open_lo=True)
-    prof = bias_profile(f, head)
-    unbiased = np.abs(prof.biases) <= 1.0 - delta
-    frac = float(np.count_nonzero(unbiased)) / prof.biases.size
+    biases = bias_profile(f, head)
+    unbiased = np.abs(biases) <= 1.0 - delta
+    frac = float(np.count_nonzero(unbiased)) / biases.size
     # Projection onto head functions is blockwise conditional expectation, so
     # the overwritten function projects to its block means directly.
-    block_means = np.where(unbiased, 1.0, prof.biases)
+    block_means = np.where(unbiased, 1.0, biases)
     approx = _signs(block_means)
     residual_sq = 1.0 - float(np.mean(block_means * block_means))
     return HeadProjection(
@@ -228,7 +231,7 @@ def head_projection(f: BooleanFunction, head: int, delta: float) -> HeadProjecti
         certified=frac <= delta,
         residual_sq=residual_sq,
         frac_unbiased=frac,
-        profile=prof,
+        biases=biases,
     )
 
 
@@ -282,7 +285,7 @@ def extract_junta(
         junta_set = head_mask(ltf, head_size)
         proj = head_projection(table, junta_set, delta)
         frac_unbiased = proj.frac_unbiased
-        biases = proj.profile.biases
+        biases = proj.biases
         if proj.certified:
             case = JuntaCase.PROJECTION
             approx = proj.approximator
@@ -303,10 +306,10 @@ def extract_junta(
         if head_size == ltf.n_active:
             # The table ignores every other coordinate, so fix them all to +1.
             rest = ((1 << n) - 1) ^ junta_set
-            approx = restrict(table, Restriction(rest, (1,) * _bits.popcount(rest)))
+            approx = restrict(table, rest, 0)
             biases = approx.values.astype(np.float64)  # the table is constant per block
         else:
-            biases = bias_profile(table, junta_set).biases
+            biases = bias_profile(table, junta_set)
             approx = _signs(biases)
         guarantee = delta
 

@@ -119,11 +119,20 @@ def canonicalize(weights, theta: float) -> Ltf:
     wa = w[nonzero]
     # Primary key |w| descending, tie key original coordinate ascending.
     order = np.lexsort((nonzero, -np.abs(wa)))
-    sorted_w = wa[order]
-    norm = float(np.linalg.norm(sorted_w))
+    # Norm of the weights rescaled by an exact power of two: it cannot overflow
+    # or underflow, and w / ||w|| keeps every bit where ||w|| is representable.
+    exponent = -math.frexp(float(wa[order[0]]))[1]
+    scaled = np.ldexp(wa[order], exponent)
+    norm = float(np.linalg.norm(scaled))
+    try:
+        theta = math.ldexp(theta, exponent) / norm
+    except OverflowError:
+        theta = math.inf
+    if not math.isfinite(theta):
+        raise InvalidInputError("theta is out of range of the weights: canonical theta overflows")
     return Ltf(
-        weights=sorted_w / norm,
-        theta=theta / norm,
+        weights=scaled / norm,
+        theta=theta,
         original_index=nonzero[order],
         dropped=dropped,
         n_inputs=w.size,
@@ -211,6 +220,8 @@ def critical_index(ltf: Ltf, tau: float) -> int | float:
 
 def head_mask(ltf: Ltf, size: int) -> int:
     """Bitmask of the input coordinates at sorted positions 1..size."""
+    if not 0 <= check_int("size", size) <= ltf.n_active:
+        raise InvalidInputError(f"head size must be in [0, {ltf.n_active}], got {size}")
     mask = 0
     for coord in ltf.original_index[:size]:
         mask |= 1 << int(coord)

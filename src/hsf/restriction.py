@@ -39,60 +39,6 @@ def _check_head_size(h: int, head_cap: int) -> None:
 
 
 @dataclass(frozen=True)
-class Restriction:
-    """Assignment of +-1 values to the coordinates of a head bitmask.
-
-    ``values[j]`` fixes the j-th smallest head coordinate.
-    """
-
-    head: int
-    values: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.head < 0:
-            raise InvalidInputError(f"head mask must be nonnegative, got {self.head}")
-        if len(self.values) != _bits.popcount(self.head):
-            raise InvalidInputError(
-                f"head has {_bits.popcount(self.head)} coordinates, "
-                f"got {len(self.values)} values"
-            )
-        if not all(v in (-1, 1) for v in self.values):
-            raise InvalidInputError("assignment values must be +1 or -1")
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
-
-    @classmethod
-    def from_index(cls, head: int, index: int) -> "Restriction":
-        """Assignment from its packed index (set bit means -1)."""
-        h = _bits.popcount(head)
-        if not 0 <= index < (1 << h):
-            raise InvalidInputError(f"assignment index {index} out of range for |H| = {h}")
-        return cls(head=head, values=tuple(-1 if (index >> j) & 1 else 1 for j in range(h)))
-
-    @property
-    def assignment_index(self) -> int:
-        """Packed index of this assignment (set bit means -1)."""
-        return sum(1 << j for j, v in enumerate(self.values) if v == -1)
-
-
-@dataclass(frozen=True)
-class BiasProfile:
-    """E[f given each head assignment], indexed by packed assignment."""
-
-    head: int
-    biases: np.ndarray
-
-    def __post_init__(self) -> None:
-        b = np.asarray(self.biases, dtype=np.float64).copy()
-        b.setflags(write=False)
-        object.__setattr__(self, "biases", b)
-
-    def frac_unbiased(self, delta: float) -> float:
-        """Fraction of assignments with |bias| <= 1 - delta."""
-        delta = check_range("delta", delta, 0, 1, open_lo=True)
-        return float(np.count_nonzero(np.abs(self.biases) <= 1.0 - delta)) / self.biases.size
-
-
-@dataclass(frozen=True)
 class RestrictionEnergy:
     """Average restricted coefficient mass against parent coefficient mass."""
 
@@ -141,24 +87,28 @@ class NsAggregation:
         )
 
 
-def restrict(f: BooleanFunction, r: Restriction) -> BooleanFunction:
-    """Truth table of f with the head coordinates of ``r`` fixed.
+def restrict(f: BooleanFunction, head: int, index: int) -> BooleanFunction:
+    """Truth table of f with the head coordinates fixed by a packed assignment.
 
-    Remaining variables keep their ascending original order.
+    Bit j of ``index`` fixes the j-th smallest head coordinate, a set bit to
+    -1.  Remaining variables keep their ascending original order.
     """
-    head_pos = _check_head(r.head, f.arity)
+    head_pos = _check_head(head, f.arity)
+    h = len(head_pos)
+    if not 0 <= check_int("index", index) < (1 << h):
+        raise InvalidInputError(f"assignment index {index} out of range for |H| = {h}")
     # On the (2,)*n cube view coordinate c is axis n-1-c: fix the bit of each
-    # head axis (-1 is bit 1) and keep the others, highest coordinate first.
+    # head axis and keep the others, highest coordinate first.
     n = f.arity
-    index = [slice(None)] * n
-    for c, v in zip(head_pos, r.values):
-        index[n - 1 - c] = int(v == -1)
-    cube = f.values.reshape((2,) * n)[tuple(index)]
-    return BooleanFunction(n - len(head_pos), cube.reshape(-1))
+    cube_index = [slice(None)] * n
+    for j, c in enumerate(head_pos):
+        cube_index[n - 1 - c] = (index >> j) & 1
+    cube = f.values.reshape((2,) * n)[tuple(cube_index)]
+    return BooleanFunction(n - h, cube.reshape(-1))
 
 
-def bias_profile(f: BooleanFunction, head: int, head_cap: int = DEFAULT_HEAD_CAP) -> BiasProfile:
-    """E[f] conditioned on every assignment of the head coordinates."""
+def bias_profile(f: BooleanFunction, head: int, head_cap: int = DEFAULT_HEAD_CAP) -> np.ndarray:
+    """E[f] conditioned on every head assignment, by packed index (read-only)."""
     head_pos = _check_head(head, f.arity)
     h = len(head_pos)
     _check_head_size(h, head_cap)
@@ -171,8 +121,9 @@ def bias_profile(f: BooleanFunction, head: int, head_cap: int = DEFAULT_HEAD_CAP
     axes = [n - 1 - c for c in by_coordinate if (head >> c) & 1]
     axes += [n - 1 - c for c in by_coordinate if not (head >> c) & 1]
     blocks = f.values.reshape((2,) * n).transpose(axes).reshape(1 << h, -1)
-    sums = blocks.sum(axis=1, dtype=np.int64)
-    return BiasProfile(head=head, biases=sums / (1 << (n - h)))
+    biases = blocks.sum(axis=1, dtype=np.int64) / (1 << (n - h))
+    biases.setflags(write=False)
+    return biases
 
 
 def restriction_energy_identity(
@@ -196,7 +147,7 @@ def restriction_energy_identity(
     h = len(head_pos)
     acc = 0.0
     for a in range(1 << h):
-        g = restrict(f, Restriction.from_index(head, a))
+        g = restrict(f, head, a)
         coeff = wht(g).coefficients[packed_subset]
         acc += float(coeff) * float(coeff)
     lhs = acc / (1 << h)
@@ -217,7 +168,7 @@ def ns_aggregation_check(f: BooleanFunction, head: int, epsilon: float) -> NsAgg
     _check_head_size(h, DEFAULT_HEAD_CAP)
     restricted = np.empty(1 << h)
     for a in range(1 << h):
-        g = restrict(f, Restriction.from_index(head, a))
+        g = restrict(f, head, a)
         restricted[a] = ns_exact(wht(g), epsilon)
     ns_value = ns_exact(wht(f), epsilon)
     restricted_mean = float(np.mean(restricted))

@@ -33,6 +33,57 @@ def _biased_majority_file(tmp_path):
     return str(path)
 
 
+def _ltf_argv(command, weights=(10.0, 1.0, 1.0, 1.0), theta=0.0):
+    def build(tmp_path):
+        path = tmp_path / "instance.json"
+        save_ltf_file(path, list(weights), theta)
+        argv = [command, "--ltf", str(path), "--quiet"]
+        return argv + ["--epsilon", "0.1", "--delta", "0.1"] if command == "junta" else argv
+    return build
+
+
+# Valid invocations, per subcommand, that the bad inputs below extend.
+_VALID_ARGV = {
+    "analyze": _ltf_argv("analyze"),
+    "junta": _ltf_argv("junta"),
+    "sweep": lambda tmp_path: ["sweep", "--families", "equal", "--n", "4", "--count", "1",
+                               "--quiet"],
+    "gaussian": lambda tmp_path: ["gaussian", "--samples", "1000", "--quiet"],
+    "checks": lambda tmp_path: ["checks", "--samples", "1000", "--quiet"],
+}
+
+_BAD_INPUTS = [
+    *(pytest.param(build, ["--seed", "-1"], None, "--seed must be nonnegative",
+                   id=f"{command}-seed") for command, build in _VALID_ARGV.items()),
+    *(pytest.param(build, [], "-1", "HSF_SEED must be nonnegative",
+                   id=f"{command}-env-seed") for command, build in _VALID_ARGV.items()),
+    pytest.param(_VALID_ARGV["junta"], ["--epsilon", "1e-200"], None,
+                 "budget L is not finite", id="junta-tiny-epsilon"),
+    pytest.param(_VALID_ARGV["junta"], ["--c-l", "1e308"], None,
+                 "budget L is not finite", id="junta-huge-c-l"),
+    pytest.param(_VALID_ARGV["sweep"], ["--epsilons", "1e-200"], None,
+                 "budget L is not finite", id="sweep-tiny-epsilon"),
+    pytest.param(_VALID_ARGV["sweep"], ["--c-l", "1e308"], None,
+                 "budget L is not finite", id="sweep-huge-c-l"),
+    pytest.param(_VALID_ARGV["sweep"], ["--n", str(10**15), "--max-n", "20"], None,
+                 "exceeds cap 20", id="sweep-n-past-cap"),
+    pytest.param(_ltf_argv("junta", weights=(1e-300, 1e-300), theta=1e300), [], None,
+                 "canonical theta overflows", id="junta-theta-overflow"),
+]
+
+
+class TestBadInputs:
+    @pytest.mark.parametrize("build,extra,env,message", _BAD_INPUTS)
+    def test_exits_two_with_one_error_line(self, tmp_path, monkeypatch, capsys,
+                                           build, extra, env, message):
+        if env is not None:
+            monkeypatch.setenv("HSF_SEED", env)
+        assert cli.main(build(tmp_path) + extra) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert message in err and "Traceback" not in err
+
+
 class TestAnalyze:
     def test_csv_sections_and_trailer(self, tmp_path):
         out = tmp_path / "report.csv"
@@ -165,6 +216,18 @@ class TestSweep:
         assert cli.main(
             ["sweep", "--families", "equal:0.5", "--n", "4", "--count", "1"]
         ) == 2
+
+    def test_arity_beyond_cap_draws_nothing(self, monkeypatch, capsys):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew an instance past the arity cap")
+
+        monkeypatch.setattr(cli, "random_ltf", no_draw)
+        code = cli.main(
+            ["sweep", "--families", "equal", "--n", str(10**15), "--count", "1",
+             "--max-n", "20", "--quiet"]
+        )
+        assert code == 2
+        assert f"arity {10**15} exceeds cap 20" in capsys.readouterr().err
 
     def test_arity_cap_respected(self, capsys):
         code = cli.main(

@@ -49,6 +49,12 @@ class TestBudgetAndPremise:
         with pytest.raises(InvalidInputError):
             junta_budget(0.1, 0.1, c_l=0.0)
 
+    @pytest.mark.parametrize("eps,c_l", [(1e-200, 1.0), (0.1, 1e308)])
+    def test_budget_overflow_is_an_input_error(self, eps, c_l):
+        # eps**-2 overflows at the first; ceil(inf) at the second.
+        with pytest.raises(InvalidInputError, match="budget L is not finite"):
+            junta_budget(eps, 0.1, c_l=c_l)
+
     def test_premise_bound_frozen(self):
         assert premise_bound(0.1, 0.1) == pytest.approx(
             0.002448436746822227, abs=1e-18
@@ -117,9 +123,22 @@ class TestHeadConstructions:
         tight = head_projection(f, head=0b001, delta=0.3)
         assert not tight.certified and tight.frac_unbiased == 0.5
 
+    def test_head_projection_frac_unbiased_boundaries(self):
+        # Head 0b11 blocks, by packed index, have biases 0, 0.5, -1 and 1.
+        blocks = [[1, -1, 1, -1], [1, 1, 1, -1], [-1, -1, -1, -1], [1, 1, 1, 1]]
+        f = from_values(4, [blocks[row & 0b11][row >> 2] for row in range(16)])
+        np.testing.assert_array_equal(bias_profile(f, 0b11), [0.0, 0.5, -1.0, 1.0])
+        # |bias| = 1 - delta counts as unbiased; delta = 1 leaves only bias 0.
+        assert head_projection(f, 0b11, 0.5).frac_unbiased == 0.5
+        assert head_projection(f, 0b11, 1.0).frac_unbiased == 0.25
+        assert head_projection(f, 0b11, 0.3).frac_unbiased == 0.5
+        np.testing.assert_array_equal(
+            head_projection(f, 0b11, 0.5).biases, [0.0, 0.5, -1.0, 1.0]
+        )
+
     def test_head_projection_delta_range(self):
         f = random_function(3, seed=2)
-        for delta in (0.0, 1.0001):
+        for delta in (0.0, 1.0001, 1.5):
             with pytest.raises(InvalidInputError):
                 head_projection(f, 0b1, delta)
 
@@ -317,7 +336,7 @@ class TestProjectionAgainstProfile:
             f = random_function(6, seed=rng)
             head = 0b011010
             proj = head_projection(f, head, delta=0.4)
-            biases = bias_profile(f, head).biases
+            biases = bias_profile(f, head)
             expected = np.where(
                 np.abs(biases) <= 0.6, 1, np.where(biases >= 0, 1, -1)
             )

@@ -13,6 +13,7 @@ from hsf import (
     CapExceededError,
     canonicalize,
     critical_index,
+    head_mask,
     head_split,
     linear_form,
     linear_form_table,
@@ -78,6 +79,30 @@ class TestCanonicalize:
             canonicalize([], 0.0)
         with pytest.raises(InvalidInputError, match="nonempty"):
             canonicalize(np.ones((2, 2)), 0.0)
+
+    @pytest.mark.parametrize("k", [-1000, -1, 1, 1000])
+    def test_power_of_two_scaling_leaves_table_unchanged(self, k):
+        rng = np.random.default_rng(5)
+        for _ in range(10):
+            w = rng.standard_normal(int(rng.integers(1, 10)))
+            theta = float(rng.standard_normal())
+            lt = canonicalize(w, theta)
+            scaled = canonicalize(np.ldexp(w, k), math.ldexp(theta, k))
+            assert scaled.weights.tobytes() == lt.weights.tobytes()
+            assert scaled.theta == lt.theta
+            assert np.array_equal(truth_table(scaled).values, truth_table(lt).values)
+
+    def test_extreme_scales(self):
+        # The norm of [1e308, 1e308, 1] overflows and that of [1e-320, 1e-320]
+        # underflows unless the weights are rescaled before it is taken.
+        huge = truth_table(canonicalize([1e308, 1e308, 1.0], 0.0))
+        wide = truth_table(canonicalize([1.0, 1.0, 1e-300], 0.0))
+        assert np.array_equal(huge.values, wide.values)
+        assert len(set(huge.values.tolist())) == 2
+        tiny = truth_table(canonicalize([1e-320, 1e-320], 0.0))
+        assert np.array_equal(tiny.values, truth_table(canonicalize([1.0, 1.0], 0.0)).values)
+        with pytest.raises(InvalidInputError, match="theta"):
+            canonicalize([1e-300, 1e-300], 1e300)
 
 
 class TestEvaluation:
@@ -175,6 +200,16 @@ class TestRegularity:
         for tau in (0.0, -0.5, 1.5, math.nan):
             with pytest.raises(InvalidInputError, match="tau"):
                 critical_index(self.LT, tau)
+
+    def test_head_mask(self):
+        lt = canonicalize([1.0, 3.0, 0.0, 2.0], 0.0)
+        assert [head_mask(lt, size) for size in range(4)] == [0, 0b0010, 0b1010, 0b1011]
+
+    @pytest.mark.parametrize("size", [-1, 4, 99, 1.5, True])
+    def test_head_mask_validates_size(self, size):
+        lt = canonicalize([1.0, 3.0, 0.0, 2.0], 0.0)
+        with pytest.raises(InvalidInputError, match="size"):
+            head_mask(lt, size)
 
     def test_head_split_frozen(self):
         split = head_split(self.LT, 2)

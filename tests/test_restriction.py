@@ -6,11 +6,9 @@ import numpy as np
 import pytest
 
 from hsf import (
-    BiasProfile,
     CapExceededError,
     InvalidInputError,
     NsAggregation,
-    Restriction,
     bias_profile,
     embed_junta,
     from_values,
@@ -40,29 +38,6 @@ def _full_point(n, head, values, sub_row):
     return x
 
 
-class TestRestriction:
-    def test_values_length_must_match_head(self):
-        with pytest.raises(InvalidInputError):
-            Restriction(head=0b101, values=(1,))
-        with pytest.raises(InvalidInputError):
-            Restriction(head=0b1, values=(0,))
-        with pytest.raises(InvalidInputError):
-            Restriction(head=-1, values=())
-
-    def test_index_roundtrip_and_sign_convention(self):
-        head = 0b1010
-        for index in range(4):
-            r = Restriction.from_index(head, index)
-            assert r.assignment_index == index
-        # Set bit in the packed index means the coordinate is fixed to -1.
-        assert Restriction.from_index(head, 0b01).values == (-1, 1)
-        assert Restriction.from_index(head, 0b10).values == (1, -1)
-
-    def test_from_index_range(self):
-        with pytest.raises(InvalidInputError):
-            Restriction.from_index(0b11, 4)
-
-
 class TestRestrict:
     def test_matches_pointwise_evaluation(self):
         rng = np.random.default_rng(71)
@@ -70,25 +45,36 @@ class TestRestrict:
             n = int(rng.integers(2, 9))
             f = random_function(n, seed=rng)
             head = int(rng.integers(1, 1 << n))
-            index = int(rng.integers(0, 1 << int(head).bit_count()))
-            r = Restriction.from_index(head, index)
-            g = restrict(f, r)
-            assert g.arity == n - head.bit_count()
+            h = head.bit_count()
+            index = int(rng.integers(0, 1 << h))
+            # Bit j of the packed index fixes the j-th smallest head
+            # coordinate, and a set bit means -1.
+            values = [-1 if (index >> j) & 1 else 1 for j in range(h)]
+            g = restrict(f, head, index)
+            assert g.arity == n - h
             for sub_row in range(g.values.size):
-                x = _full_point(n, head, r.values, sub_row)
+                x = _full_point(n, head, values, sub_row)
                 assert g.values[sub_row] == f(x)
 
     def test_head_mask_validation(self):
         f = random_function(3, seed=0)
-        with pytest.raises(InvalidInputError, match="out of range"):
-            restrict(f, Restriction(head=1 << 3, values=(1,)))
+        for head in (1 << 3, -1):
+            with pytest.raises(InvalidInputError, match="out of range"):
+                restrict(f, head, 0)
+
+    @pytest.mark.parametrize("index", [-1, 1 << 2, True, 1.0])
+    def test_index_validation(self, index):
+        f = random_function(3, seed=0)
+        with pytest.raises(InvalidInputError, match="index"):
+            restrict(f, 0b101, index)
 
 
 class TestBiasProfile:
     def test_dictator_profile_frozen(self):
         f = from_values(3, parity_values(3, 0b001))
-        prof = bias_profile(f, 0b001)
-        np.testing.assert_array_equal(prof.biases, [1.0, -1.0])
+        biases = bias_profile(f, 0b001)
+        np.testing.assert_array_equal(biases, [1.0, -1.0])
+        assert not biases.flags.writeable
 
     def test_matches_restricted_means(self):
         rng = np.random.default_rng(73)
@@ -96,24 +82,15 @@ class TestBiasProfile:
             n = int(rng.integers(2, 9))
             f = random_function(n, seed=rng)
             head = int(rng.integers(1, 1 << n))
-            prof = bias_profile(f, head)
-            for index in range(prof.biases.size):
-                g = restrict(f, Restriction.from_index(head, index))
-                assert prof.biases[index] == pytest.approx(mean(g), abs=1e-15)
+            biases = bias_profile(f, head)
+            for index in range(biases.size):
+                g = restrict(f, head, index)
+                assert biases[index] == pytest.approx(mean(g), abs=1e-15)
 
     def test_head_cap(self):
         f = random_function(5, seed=1)
         with pytest.raises(CapExceededError, match="cap"):
             bias_profile(f, 0b1111, head_cap=3)
-
-    def test_frac_unbiased_semantics(self):
-        prof = BiasProfile(head=0b11, biases=[0.0, 0.5, -1.0, 1.0])
-        assert prof.frac_unbiased(0.5) == 0.5
-        assert prof.frac_unbiased(1.0) == 0.25
-        assert prof.frac_unbiased(0.3) == 0.5
-        for delta in (0.0, 1.5):
-            with pytest.raises(InvalidInputError):
-                prof.frac_unbiased(delta)
 
 
 class TestEnergyIdentity:
@@ -213,7 +190,7 @@ class TestEmbedJunta:
         assert is_junta_on(lifted, head)
         # Restricting the lifted function to any tail assignment recovers g.
         tail = ((1 << 5) - 1) & ~head
-        recovered = restrict(lifted, Restriction.from_index(tail, 1))
+        recovered = restrict(lifted, tail, 1)
         assert np.array_equal(recovered.values, g.values)
 
     def test_arity_mismatch(self):
