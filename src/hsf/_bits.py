@@ -60,6 +60,21 @@ def spread_bits(packed: np.ndarray | int, positions: Sequence[int]) -> np.ndarra
     return out
 
 
+def spread_table(table: np.ndarray, positions: Sequence[int], n: int) -> np.ndarray:
+    """Table over n bits holding ``table[k]`` at row spread_bits(k, positions).
+
+    The result is constant along the bits that no position names.
+    """
+    k = len(positions)
+    # Bit j of ``table`` is cube axis k-1-j; order the axes by target, highest first.
+    axes = [k - 1 - j for j in np.argsort(np.negative(positions))]
+    cube = table.reshape((2,) * k).transpose(axes)
+    if k < n:
+        shape = [2 if c in positions else 1 for c in range(n - 1, -1, -1)]
+        cube = np.broadcast_to(cube.reshape(shape), (2,) * n)
+    return cube.reshape(-1)
+
+
 def submasks(mask: int) -> np.ndarray:
     """All 2**popcount(mask) submasks of ``mask``, ordered by packed index."""
     pos = bit_positions(mask)

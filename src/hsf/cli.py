@@ -31,7 +31,6 @@ from .junta import TheoremConfig, extract_junta, prepare, theorem_verify
 from .ltf import (
     canonicalize,
     critical_index,
-    head_mask,
     load_ltf_file,
     random_ltf,
     regularity_profile,
@@ -45,11 +44,7 @@ from .noise import (
     regular_cdf_gap,
     tail_ratio_check,
 )
-from .restriction import (
-    bias_profile,
-    ns_aggregation_check,
-    restriction_energy_identity,
-)
+from .restriction import ns_aggregation_check, restriction_energy_identity
 
 _ANALYZE_TAUS = "0.05,0.1,0.25,0.5,0.75,1"
 _ANALYZE_EPSILONS = "0.01,0.05,0.1,0.25,0.5"
@@ -172,8 +167,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         (None, None),
     )
     if head_ell is not None:
-        mask = head_mask(lt, int(head_ell))
-        biases = bias_profile(instance.table, mask, head_cap=max(16, int(head_ell)))
+        biases = instance.head_biases(int(head_ell), head_cap=max(16, int(head_ell)))
         rows.extend(
             [
                 ("bias", "tau", head_tau),

@@ -33,6 +33,9 @@ _DEGREE_CHUNK = 1 << 16
 # Butterfly block width below which a pass is split into strided rows.
 _NARROW_BLOCK = 8
 
+# Sylvester's Hadamard matrix of order 64; its leading 2**k block has order 2**k.
+_H64 = functools.reduce(np.kron, [np.array([[1, 1], [1, -1]], dtype=np.float32)] * 6)
+
 
 def _check_arity(n: int, cap: int) -> None:
     if check_int("arity", n) < 0:
@@ -120,7 +123,8 @@ class FourierSpectrum:
         Entry d sums the squares over |S| = d strictly in index order: each
         chunk goes through one np.bincount whose first n + 1 entries carry the
         running per-degree totals, so the sums equal a single bincount over
-        the whole array bit for bit.
+        the whole array bit for bit.  For a +-1 table's spectrum each partial
+        sum is a multiple of 4**-n of at most 1: exact in any order for n <= 26.
         """
         n = self.arity
         counts = _bits.popcounts(n)
@@ -145,14 +149,14 @@ def from_values(arity: int, values, cap: int = DEFAULT_ARITY_CAP) -> BooleanFunc
     return BooleanFunction(int(arity), np.asarray(values))
 
 
-def _butterfly(a: np.ndarray) -> np.ndarray:
-    # Unnormalized transform of ``a`` in place, returned for chaining.  Each
-    # pass saves the left halves in one half-size scratch buffer, then forms
-    # left + right and left - right in the array itself.  Blocks narrower than
+def _butterfly(a: np.ndarray, h: int = 1) -> np.ndarray:
+    # Unnormalized transform of ``a`` in place from block width h on (the
+    # narrower passes already done), returned for chaining.  Each pass saves
+    # the left halves in one half-size scratch buffer, then forms left + right
+    # and left - right in the array itself.  Blocks narrower than
     # _NARROW_BLOCK go one offset at a time, so every ufunc call runs over one
     # long strided row instead of one row of h entries per block.
     scratch = np.empty(a.size // 2, dtype=a.dtype)
-    h = 1
     while h < a.size:
         if h < _NARROW_BLOCK:
             lanes = [(a[r::2 * h], a[r + h::2 * h], scratch[r::h]) for r in range(h)]
@@ -170,12 +174,21 @@ def _butterfly(a: np.ndarray) -> np.ndarray:
 def wht(f: BooleanFunction) -> FourierSpectrum:
     """Fourier coefficients of ``f`` via the fast transform.
 
-    The butterfly runs in int32: every partial sum of +-1 entries is an
-    integer of magnitude at most 2**n, exact for any n below 31 (the arity
-    cap is 24).  The sums are converted to float64 and divided by 2**n once,
-    so every coefficient is the correctly rounded value of the exact one.
+    H(2**n) = H(2**(n-6)) (x) H(64): the six lowest passes are one float32
+    product of each 64-entry row with _H64 (its leading block when n < 6),
+    exact because its entries are integers of magnitude at most 64.  The other
+    passes run in int32, exact below n = 31 (the arity cap is 24).  The sums
+    are divided by 2**n once in float64, so every coefficient is the correctly
+    rounded value of the exact one.
     """
-    sums = _butterfly(f.values.astype(np.int32))
+    width = 1 << min(f.arity, 6)
+    rows = f.values.reshape(-1, width)
+    sums = np.empty(rows.shape, dtype=np.int32)
+    # 64-row tiles: 64**3 multiply-adds stay under OpenBLAS's threading
+    # cutoff, and larger, threaded products stalled.
+    for lo in range(0, len(rows), 64):
+        sums[lo:lo + 64] = np.matmul(rows[lo:lo + 64], _H64[:width, :width])
+    sums = _butterfly(sums.reshape(-1), width)
     coeffs = sums / float(sums.size)
     coeffs.setflags(write=False)
     # Nothing else references this fresh array, so FourierSpectrum's

@@ -36,9 +36,9 @@ from .fncore import (
     FourierSpectrum,
     wht,
 )
-from .ltf import Ltf, critical_index, head_mask, truth_table
+from .ltf import Ltf, canonical_table, critical_index, head_mask
 from .noise import CHECK_TOL, ns_exact
-from .restriction import bias_profile, restrict
+from .restriction import DEFAULT_HEAD_CAP, bias_profile
 
 # Reports with eps and delta both at most this are flagged within_validity;
 # larger values are still extracted, only the flag records the range.
@@ -147,6 +147,7 @@ class Instance:
 
     Built once by :func:`prepare` and shared by every extraction on the same
     function, so the per-instance work is not repeated per (eps, delta).
+    ``table`` and ``spectrum`` are in sorted-position coordinates: see ``canonical_table``.
     """
 
     ltf: Ltf
@@ -160,10 +161,28 @@ class Instance:
                 f"spectrum {self.spectrum.arity}"
             )
 
+    def head_biases(self, size: int, head_cap: int = DEFAULT_HEAD_CAP) -> np.ndarray:
+        """E[f] on every assignment of sorted positions 1..size (read-only).
+
+        Equal, value for value and in order, to ``bias_profile(truth_table(ltf),
+        head_mask(ltf, size))``: exact int64 block sums, reindexed to packed order.
+        """
+        head_mask(self.ltf, size)  # checks that 0 <= size <= n_active
+        if size > head_cap:
+            raise CapExceededError(f"head size {size} exceeds head cap {head_cap}")
+        n = self.table.arity
+        # Sum 2**10-entry rows first: numpy sums many short rows slowly.
+        wide = self.table.values.reshape(-1, 1 << max(size, min(n, 10)))
+        sums = wide.sum(axis=0, dtype=np.int64).reshape(-1, 1 << size).sum(axis=0)
+        ranks = np.argsort(np.argsort(self.ltf.original_index[:size]))
+        biases = _bits.spread_table(sums / (1 << (n - size)), ranks, size)
+        biases.setflags(write=False)
+        return biases
+
 
 def prepare(ltf: Ltf, cap: int = DEFAULT_ARITY_CAP) -> Instance:
-    """Truth table and spectrum of ``ltf``, for repeated extraction."""
-    table = truth_table(ltf, cap=cap)
+    """Sorted-position truth table and spectrum of ``ltf``, for repeated extraction."""
+    table = canonical_table(ltf, cap=cap)
     return Instance(ltf, table, wht(table))
 
 
@@ -217,8 +236,11 @@ def head_projection(f: BooleanFunction, head: int, delta: float) -> HeadProjecti
     resulting junta is then within 3 * delta of f, and the squared projection
     residual of the overwritten function stays below 2 * delta.
     """
+    return _project(bias_profile(f, head), delta)
+
+
+def _project(biases: np.ndarray, delta: float) -> HeadProjection:
     delta = check_range("delta", delta, 0, 1, open_lo=True)
-    biases = bias_profile(f, head)
     unbiased = np.abs(biases) <= 1.0 - delta
     frac = float(np.count_nonzero(unbiased)) / biases.size
     # Projection onto head functions is blockwise conditional expectation, so
@@ -260,8 +282,8 @@ def extract_junta(
         raise CapExceededError(
             f"arity {instance.ltf.n_inputs} exceeds cap {config.arity_cap}"
         )
-    ltf, table, spectrum = instance.ltf, instance.table, instance.spectrum
-    n = table.arity
+    ltf, spectrum = instance.ltf, instance.spectrum
+    n = ltf.n_inputs
     ns_value = ns_exact(spectrum, epsilon)
     bound = premise_bound(epsilon, delta, config.c_ns)
     premise_holds = ns_value <= bound
@@ -283,7 +305,7 @@ def extract_junta(
     elif ell <= budget:
         head_size = int(ell)
         junta_set = head_mask(ltf, head_size)
-        proj = head_projection(table, junta_set, delta)
+        proj = _project(instance.head_biases(head_size), delta)
         frac_unbiased = proj.frac_unbiased
         biases = proj.biases
         if proj.certified:
@@ -303,14 +325,10 @@ def extract_junta(
         case = JuntaCase.HEAD_JUNTA
         head_size = min(budget, ltf.n_active)
         junta_set = head_mask(ltf, head_size)
-        if head_size == ltf.n_active:
-            # The table ignores every other coordinate, so fix them all to +1.
-            rest = ((1 << n) - 1) ^ junta_set
-            approx = restrict(table, rest, 0)
-            biases = approx.values.astype(np.float64)  # the table is constant per block
-        else:
-            biases = bias_profile(table, junta_set)
-            approx = _signs(biases)
+        # A head of every active coordinate is the whole function: no head cap.
+        cap = MAX_ARITY_CAP if head_size == ltf.n_active else DEFAULT_HEAD_CAP
+        biases = instance.head_biases(head_size, cap)
+        approx = _signs(biases)
         guarantee = delta
 
     # Head block b has 2^(n-h) rows summing to m_b = biases[b] * 2^(n-h), so the

@@ -11,7 +11,7 @@ paths accumulate the linear form left to right over sorted positions, so the
 dense truth table and pointwise evaluation agree bit for bit.  The dense table
 is built by doubling over sorted positions: after position p the array holds
 every partial sum over positions 0..p, each reached by that same left-to-right
-sequence of additions, and one transpose then maps it to input bit order.
+sequence of additions; :func:`truth_table` transposes it to input bit order.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _bits
 from .errors import CapExceededError, DegenerateLtfError, InvalidInputError, check_int, check_range
 from .fncore import DEFAULT_ARITY_CAP, BooleanFunction
 
@@ -150,16 +151,30 @@ def linear_form(ltf: Ltf, x: np.ndarray) -> np.ndarray:
 
 def truth_table(ltf: Ltf, cap: int = DEFAULT_ARITY_CAP) -> BooleanFunction:
     """Dense table over all n_inputs variables (dropped coordinates ignored)."""
-    acc = _sorted_linear_form(ltf, cap)
-    acc -= ltf.theta
-    signs = np.where(acc >= 0.0, np.int8(1), np.int8(-1))
-    del acc
-    return BooleanFunction(ltf.n_inputs, _to_input_order(ltf, signs))
+    by_position = canonical_table(ltf, cap).values[:1 << ltf.n_active]
+    return BooleanFunction(ltf.n_inputs, _bits.spread_table(by_position, ltf.original_index,
+                                                            ltf.n_inputs))
+
+
+def canonical_table(ltf: Ltf, cap: int = DEFAULT_ARITY_CAP) -> BooleanFunction:
+    """Dense table whose row bit p is sorted position p (0-based).
+
+    The dropped coordinates take the top bits in ascending order, and the
+    table ignores them: :func:`truth_table` with its variables renamed.
+    """
+    # The signs are written in place over the comparison.  For finite doubles
+    # a - b >= 0 exactly when a >= b: a difference is zero only when a == b.
+    signs = np.greater_equal(_sorted_linear_form(ltf, cap), ltf.theta).view(np.int8)
+    signs *= 2
+    signs -= 1
+    if ltf.dropped:
+        signs = np.tile(signs, 1 << len(ltf.dropped))
+    return BooleanFunction(ltf.n_inputs, signs)
 
 
 def linear_form_table(ltf: Ltf, cap: int = DEFAULT_ARITY_CAP) -> np.ndarray:
     """w . x at every row of the cube, same accumulation order as truth_table."""
-    return _to_input_order(ltf, _sorted_linear_form(ltf, cap))
+    return _bits.spread_table(_sorted_linear_form(ltf, cap), ltf.original_index, ltf.n_inputs)
 
 
 def _sorted_linear_form(ltf: Ltf, cap: int) -> np.ndarray:
@@ -177,19 +192,6 @@ def _sorted_linear_form(ltf: Ltf, cap: int) -> np.ndarray:
         np.add(acc[:s], w, out=acc[:s])
         s *= 2
     return acc
-
-
-def _to_input_order(ltf: Ltf, by_position: np.ndarray) -> np.ndarray:
-    # Reindex a table over sorted positions to input row order, repeating it
-    # across dropped coordinates.  On the (2,)*m cube view position p is axis
-    # m-1-p; on the (2,)*n output coordinate c is axis n-1-c.
-    m, n = ltf.n_active, ltf.n_inputs
-    by_coordinate = np.argsort(-ltf.original_index)
-    cube = by_position.reshape((2,) * m).transpose([m - 1 - int(p) for p in by_coordinate])
-    if ltf.dropped:
-        cube = cube.reshape([1 if c in ltf.dropped else 2 for c in range(n - 1, -1, -1)])
-        cube = np.broadcast_to(cube, (2,) * n)
-    return cube.reshape(-1)
 
 
 def _profile_from_sorted(w: np.ndarray) -> RegularityProfile:
@@ -335,8 +337,8 @@ def load_ltf_file(path) -> Ltf:
     try:
         with open(path, "r", encoding="ascii") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise InvalidInputError(f"not a well-formed document: {exc}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise InvalidInputError(f"not a well-formed ASCII document: {exc}") from None
     if not isinstance(doc, dict):
         raise InvalidInputError("document must be an object with 'weights' and 'theta'")
     if "weights" not in doc:
@@ -351,4 +353,8 @@ def load_ltf_file(path) -> Ltf:
     theta = doc["theta"]
     if not isinstance(theta, (int, float)) or isinstance(theta, bool):
         raise InvalidInputError("field 'theta' must be a real")
-    return canonicalize(np.asarray(weights, dtype=np.float64), float(theta))
+    try:
+        weights, theta = np.asarray(weights, dtype=np.float64), float(theta)
+    except OverflowError:  # an integer literal beyond the float64 range
+        raise InvalidInputError("a weight or theta is outside the float64 range") from None
+    return canonicalize(weights, theta)

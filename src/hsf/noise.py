@@ -114,8 +114,8 @@ def degree_weights(spectrum: FourierSpectrum) -> np.ndarray:
 def ns_exact(spectrum: FourierSpectrum, epsilon: float) -> float:
     """Noise sensitivity from the spectrum: 1/2 - 1/2 sum_d rho^d W_d.
 
-    Degree weights are accumulated in ascending-degree order, so results are
-    reproducible bit for bit.
+    The degree weights of a +-1 table's spectrum are exact, so the result is
+    the same bit for bit whatever the order of the table's coordinates.
     """
     epsilon = check_range("epsilon", epsilon, 0, 1)
     rho = 1.0 - 2.0 * epsilon

@@ -191,8 +191,4 @@ def embed_junta(g: BooleanFunction, head: int, arity: int) -> BooleanFunction:
         raise InvalidInputError(
             f"junta arity {g.arity} does not match head size {len(head_pos)}"
         )
-    # g's cube view has one axis per head coordinate, highest first, which
-    # lines up with the head axes of the full cube and broadcasts over the rest.
-    shape = [2 if (head >> c) & 1 else 1 for c in range(arity - 1, -1, -1)]
-    cube = np.broadcast_to(g.values.reshape(shape), (2,) * arity)
-    return BooleanFunction(arity, cube.reshape(-1))
+    return BooleanFunction(arity, _bits.spread_table(g.values, head_pos, arity))

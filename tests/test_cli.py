@@ -42,6 +42,16 @@ def _ltf_argv(command, weights=(10.0, 1.0, 1.0, 1.0), theta=0.0):
     return build
 
 
+def _raw_ltf_argv(command, document: bytes):
+    def build(tmp_path):
+        argv = _ltf_argv(command)(tmp_path)
+        (tmp_path / "instance.json").write_bytes(document)
+        return argv
+    return build
+
+
+_HUGE_INT = b"9" * 400
+
 # Valid invocations, per subcommand, that the bad inputs below extend.
 _VALID_ARGV = {
     "analyze": _ltf_argv("analyze"),
@@ -69,6 +79,16 @@ _BAD_INPUTS = [
                  "exceeds cap 20", id="sweep-n-past-cap"),
     pytest.param(_ltf_argv("junta", weights=(1e-300, 1e-300), theta=1e300), [], None,
                  "canonical theta overflows", id="junta-theta-overflow"),
+    *(pytest.param(_raw_ltf_argv(command, document), [], None, message, id=f"{command}-{name}")
+      for command in ("analyze", "junta")
+      for name, document, message in [
+          ("huge-int-weight", b'{"weights": [1, ' + _HUGE_INT + b'], "theta": 0}',
+           "outside the float64 range"),
+          ("huge-int-theta", b'{"weights": [1, 2], "theta": ' + _HUGE_INT + b"}",
+           "outside the float64 range"),
+          ("non-ascii", '{"weights": [1, 2], "theta": 0, "note": "\u00e9"}'.encode("utf-8"),
+           "not a well-formed ASCII document"),
+      ]),
 ]
 
 

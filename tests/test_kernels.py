@@ -6,9 +6,12 @@ profiles) promise the same floating-point addition sequence, or the same
 gathered rows, as the slow routes in ``_oracles``, so equality is asserted on
 ``tobytes()``, never with a tolerance.  Arities reach 18 so the 2**16-entry
 chunking boundary is crossed.  The in-place int32 transform must match the
-float64 butterfly divided by 2**n exactly, up to arity 22.  The distance an
-extraction reads from block counts must equal, byte for byte, the distance of
-its junta lifted to the full table, in every case.
+float64 butterfly divided by 2**n exactly, up to arity 22, including the
+64 x 64 float32 tiles of its six lowest passes.  The distance an extraction
+reads from block counts must equal, byte for byte, the distance of its junta
+lifted to the full table, in every case.  A prepared instance is built in
+sorted-position order, and everything an extraction reads from it must equal,
+byte for byte, the same value read from the input-order table.
 """
 
 import numpy as np
@@ -20,6 +23,7 @@ import hsf
 from hsf import (
     BooleanFunction,
     FourierSpectrum,
+    JuntaCase,
     TheoremConfig,
     bias_profile,
     canonicalize,
@@ -27,16 +31,19 @@ from hsf import (
     distance,
     embed_junta,
     extract_junta,
+    head_mask,
     linear_form_table,
     ns_exact,
     prepare,
     random_function,
+    regularity_profile,
     restrict,
     synthesize,
     truth_table,
     wht,
 )
 from hsf._bits import popcounts
+from hsf.fncore import _butterfly
 
 from _oracles import (
     slow_bias_profile,
@@ -194,6 +201,21 @@ def test_wht_matches_float64_butterfly(n, seed):
     assert wht(f).coefficients.tobytes() == _wht_oracle(f).tobytes()
 
 
+@pytest.mark.parametrize("n", range(0, 13))
+def test_wht_tiles_match_float64_butterfly(n):
+    # n < 6 uses a leading block of the 64 x 64 tile; other n leave 1-6
+    # passes to the int32 butterfly.
+    f = random_function(n, seed=n)
+    assert wht(f).coefficients.tobytes() == _wht_oracle(f).tobytes()
+
+
+@pytest.mark.parametrize("n", [16, 20, 22])
+def test_wht_tiles_match_float64_butterfly_at_large_arity(n):
+    f = random_function(n, seed=n, cap=n)
+    expected = _butterfly(f.values.astype(np.float64)) / float(1 << n)
+    assert wht(f).coefficients.tobytes() == expected.tobytes()
+
+
 def test_wht_of_constant_table_at_n20_reaches_the_largest_sum():
     f = BooleanFunction(20, np.ones(1 << 20, dtype=np.int8))
     coeffs = wht(f).coefficients
@@ -282,9 +304,10 @@ _CASE_INPUTS = [
 
 def _check_distance_against_lift(instance, epsilon, delta, c_l):
     report = extract_junta(instance, epsilon, delta, TheoremConfig(c_l=c_l))
-    lifted = embed_junta(report.approximator, report.junta_set, instance.table.arity)
+    table = truth_table(instance.ltf)  # instance.table is in sorted-position order
+    lifted = embed_junta(report.approximator, report.junta_set, table.arity)
     assert type(report.distance) is float
-    expected = distance(instance.table, lifted)
+    expected = distance(table, lifted)
     assert np.float64(report.distance).tobytes() == np.float64(expected).tobytes()
     return report
 
@@ -339,3 +362,45 @@ def test_extraction_never_lifts_or_compares_tables(monkeypatch):
     assert not hasattr(hsf.junta, "embed_junta") and not hasattr(hsf.junta, "distance")
     for case, instance, eps, delta, config in prepared:
         assert str(extract_junta(instance, eps, delta, config).case) == case
+
+
+# Sorted-position instances against the input-order table, at n <= 16 so every
+# head size fits the head cap.  One explicit draw has ties, two dropped
+# coordinates and a threshold on an exact tie row.
+_WIDE16_W = np.r_[np.full(5, 0.7), 0.0, np.arange(1, 9) * 0.1, 0.0, 2.1]
+_WIDE16 = (_WIDE16_W, float(np.dot(_WIDE16_W, np.resize([1.0, -1.0, -1.0], 16))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(weights_and_theta(max_n=16))
+@example(_WIDE16)
+def test_sorted_position_instance_matches_input_order_table(wt):
+    lt = canonicalize(*wt)
+    instance = prepare(lt)
+    table = truth_table(lt)
+    spectrum = wht(table)
+    assert instance.spectrum.degree_weights.tobytes() == spectrum.degree_weights.tobytes()
+    assert instance.spectrum.coefficients[:1].tobytes() == spectrum.coefficients[:1].tobytes()
+    for size in range(lt.n_active + 1):
+        expected = bias_profile(table, head_mask(lt, size))
+        assert instance.head_biases(size).tobytes() == expected.tobytes()
+    # Below every |w_i| / sigma_i the critical index is infinite, and with a
+    # large c_l the budget covers every active coordinate: the whole-fits route.
+    ratios = np.abs(lt.weights) / regularity_profile(lt).tail_norms
+    epsilon = min(0.49, 0.5 * float(ratios.min()))
+    report = extract_junta(instance, epsilon, 0.9, TheoremConfig(c_l=1e6))
+    assert report.case is JuntaCase.HEAD_JUNTA and report.junta_size == lt.n_active
+    rest = ((1 << lt.n_inputs) - 1) ^ report.junta_set
+    assert report.approximator.values.tobytes() == restrict(table, rest, 0).values.tobytes()
+
+
+def test_instances_never_build_input_order_tables(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an instance reached an input-order 2^n table")
+
+    monkeypatch.setattr(hsf.ltf, "truth_table", refuse)
+    monkeypatch.setattr(hsf.ltf, "linear_form_table", refuse)
+    assert not hasattr(hsf.junta, "truth_table")
+    for case, lt, eps, delta, c_l, _ in _CASE_INPUTS:
+        report = extract_junta(prepare(lt), eps, delta, TheoremConfig(c_l=c_l))
+        assert str(report.case) == case
