@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from . import __version__, _bits
-from .errors import CapExceededError, HsfError, InvalidInputError
+from .errors import HsfError, InvalidInputError, check_cap, check_int
 from .fncore import DEFAULT_ARITY_CAP, MAX_ARITY_CAP, random_function, wht
 from .junta import TheoremConfig, extract_junta, prepare, theorem_verify
 from .ltf import (
@@ -167,7 +167,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         (None, None),
     )
     if head_ell is not None:
-        biases = instance.head_biases(int(head_ell), head_cap=max(16, int(head_ell)))
+        biases = instance.head_biases(int(head_ell))
         rows.extend(
             [
                 ("bias", "tau", head_tau),
@@ -251,10 +251,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     families = _families(args.families)
     epsilons = _floats(args.epsilons, "--epsilons")
     deltas = _floats(args.deltas, "--deltas")
-    if args.count < 0:
-        raise InvalidInputError(f"--count must be nonnegative, got {args.count}")
-    if args.n > args.max_n:  # before any n-long draw
-        raise CapExceededError(f"arity {args.n} exceeds cap {args.max_n}")
+    check_int("--count", args.count, 0)
+    check_cap("arity", args.n, args.max_n)  # before any n-long draw
     config = TheoremConfig(c_ns=args.c_ns, c_l=args.c_l, arity_cap=args.max_n)
     rows: list[tuple] = []
     failed = False
@@ -478,10 +476,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         args.seed = _resolve_seed(args)
-        if not 1 <= args.max_n <= MAX_ARITY_CAP:
-            raise InvalidInputError(
-                f"--max-n must be in [1, {MAX_ARITY_CAP}], got {args.max_n}"
-            )
+        check_int("--max-n", args.max_n, 1, MAX_ARITY_CAP)
         return args.func(args)
     except HsfError as exc:
         print(f"error: {exc}", file=sys.stderr)

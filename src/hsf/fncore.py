@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _bits
-from .errors import CapExceededError, InvalidInputError, check_int
+from .errors import InvalidInputError, check_cap, check_int
 
 DEFAULT_ARITY_CAP = 20
 MAX_ARITY_CAP = 24
@@ -30,18 +30,8 @@ MAX_ARITY_CAP = 24
 # temporaries (squares and intp bins) independently of the arity.
 _DEGREE_CHUNK = 1 << 16
 
-# Butterfly block width below which a pass is split into strided rows.
-_NARROW_BLOCK = 8
-
 # Sylvester's Hadamard matrix of order 64; its leading 2**k block has order 2**k.
 _H64 = functools.reduce(np.kron, [np.array([[1, 1], [1, -1]], dtype=np.float32)] * 6)
-
-
-def _check_arity(n: int, cap: int) -> None:
-    if check_int("arity", n) < 0:
-        raise InvalidInputError(f"arity must be nonnegative, got {n}")
-    if n > cap:
-        raise CapExceededError(f"arity {n} exceeds cap {cap}")
 
 
 @dataclass(frozen=True)
@@ -53,7 +43,7 @@ class BooleanFunction:
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values)
-        if values.shape != (1 << self.arity,):
+        if values.shape != (1 << check_int("arity", self.arity, 0),):
             raise InvalidInputError(
                 f"table for arity {self.arity} needs {1 << self.arity} entries, "
                 f"got shape {values.shape}"
@@ -103,7 +93,7 @@ class FourierSpectrum:
 
     def __post_init__(self) -> None:
         coeffs = np.asarray(self.coefficients, dtype=np.float64)
-        if coeffs.shape != (1 << self.arity,):
+        if coeffs.shape != (1 << check_int("arity", self.arity, 0),):
             raise InvalidInputError(
                 f"spectrum for arity {self.arity} needs {1 << self.arity} coefficients, "
                 f"got shape {coeffs.shape}"
@@ -145,28 +135,22 @@ class FourierSpectrum:
 
 def from_values(arity: int, values, cap: int = DEFAULT_ARITY_CAP) -> BooleanFunction:
     """Build a function from an explicit +-1 table of length 2**arity."""
-    _check_arity(arity, cap)
-    return BooleanFunction(int(arity), np.asarray(values))
+    return BooleanFunction(check_cap("arity", check_int("arity", arity, 0), cap),
+                           np.asarray(values))
 
 
 def _butterfly(a: np.ndarray, h: int = 1) -> np.ndarray:
     # Unnormalized transform of ``a`` in place from block width h on (the
     # narrower passes already done), returned for chaining.  Each pass saves
     # the left halves in one half-size scratch buffer, then forms left + right
-    # and left - right in the array itself.  Blocks narrower than
-    # _NARROW_BLOCK go one offset at a time, so every ufunc call runs over one
-    # long strided row instead of one row of h entries per block.
+    # and left - right in the array itself.
     scratch = np.empty(a.size // 2, dtype=a.dtype)
     while h < a.size:
-        if h < _NARROW_BLOCK:
-            lanes = [(a[r::2 * h], a[r + h::2 * h], scratch[r::h]) for r in range(h)]
-        else:
-            pairs = a.reshape(-1, 2, h)
-            lanes = [(pairs[:, 0], pairs[:, 1], scratch.reshape(-1, h))]
-        for left, right, saved in lanes:
-            np.copyto(saved, left)
-            left += right
-            np.subtract(saved, right, out=right)
+        pairs = a.reshape(-1, 2, h)
+        left, right, saved = pairs[:, 0], pairs[:, 1], scratch.reshape(-1, h)
+        np.copyto(saved, left)
+        left += right
+        np.subtract(saved, right, out=right)
         h *= 2
     return a
 
@@ -222,10 +206,7 @@ def distance(f: BooleanFunction, g: BooleanFunction) -> float:
 
 def is_junta_on(f: BooleanFunction, variables: int) -> bool:
     """True when f depends on no variable outside the bitmask ``variables``."""
-    if variables < 0 or variables >= (1 << f.arity):
-        raise InvalidInputError(
-            f"variable mask {variables:#x} out of range for arity {f.arity}"
-        )
+    check_int("variables", variables, 0, (1 << f.arity) - 1)
     idx = np.arange(f.values.size)
     for j in range(f.arity):
         if (variables >> j) & 1:
@@ -237,10 +218,10 @@ def is_junta_on(f: BooleanFunction, variables: int) -> bool:
 
 def random_function(arity: int, seed, cap: int = DEFAULT_ARITY_CAP) -> BooleanFunction:
     """Uniformly random +-1 table; identical seeds give identical tables."""
-    _check_arity(arity, cap)
+    arity = check_cap("arity", check_int("arity", arity, 0), cap)
     rng = np.random.default_rng(seed)
     values = rng.integers(0, 2, size=1 << arity, dtype=np.int8) * 2 - 1
-    return BooleanFunction(int(arity), values)
+    return BooleanFunction(arity, values)
 
 
 def to_text(f: BooleanFunction) -> str:
@@ -258,7 +239,7 @@ def from_text(text: str, cap: int = DEFAULT_ARITY_CAP) -> BooleanFunction:
         arity = int(lines[0][2:])
     except ValueError:
         raise InvalidInputError(f"malformed arity line {lines[0]!r}") from None
-    _check_arity(arity, cap)
+    check_cap("arity", check_int("arity", arity, 0), cap)
     if len(lines) != 2:
         raise InvalidInputError(f"expected one entry line after the header, got {len(lines) - 1}")
     tokens = lines[1].split()

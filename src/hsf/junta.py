@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _bits
-from .errors import CapExceededError, InvalidInputError, check_int, check_range
+from .errors import InvalidInputError, check_cap, check_int, check_range
 from .fncore import (
     DEFAULT_ARITY_CAP,
     MAX_ARITY_CAP,
@@ -38,7 +38,7 @@ from .fncore import (
 )
 from .ltf import Ltf, canonical_table, critical_index, head_mask
 from .noise import CHECK_TOL, ns_exact
-from .restriction import DEFAULT_HEAD_CAP, bias_profile
+from .restriction import HEAD_CAP, bias_profile
 
 # Reports with eps and delta both at most this are flagged within_validity;
 # larger values are still extracted, only the flag records the range.
@@ -65,8 +65,8 @@ class TheoremConfig:
     ``c_ns`` scales the premise bound and ``c_l`` the head budget; both must
     be finite and positive.  ``arity_cap`` bounds the exact truth table and
     is an int in [1, MAX_ARITY_CAP].  The premise exponent (2 - eps) / (1 - eps),
-    the validity range (VALIDITY_LIMIT) and the head cap of
-    :func:`~hsf.restriction.bias_profile` are fixed.
+    the validity range (VALIDITY_LIMIT) and the head cap
+    (:data:`~hsf.restriction.HEAD_CAP`) are fixed.
     """
 
     c_ns: float = 1.0
@@ -74,9 +74,9 @@ class TheoremConfig:
     arity_cap: int = DEFAULT_ARITY_CAP
 
     def __post_init__(self) -> None:
-        _check_constant("c_ns", self.c_ns)
-        _check_constant("c_l", self.c_l)
-        check_range("arity_cap", check_int("arity_cap", self.arity_cap), 1, MAX_ARITY_CAP)
+        check_range("c_ns", self.c_ns, 0, math.inf, open_lo=True, open_hi=True)
+        check_range("c_l", self.c_l, 0, math.inf, open_lo=True, open_hi=True)
+        check_int("arity_cap", self.arity_cap, 1, MAX_ARITY_CAP)
 
 
 @dataclass(frozen=True)
@@ -161,15 +161,14 @@ class Instance:
                 f"spectrum {self.spectrum.arity}"
             )
 
-    def head_biases(self, size: int, head_cap: int = DEFAULT_HEAD_CAP) -> np.ndarray:
+    def head_biases(self, size: int) -> np.ndarray:
         """E[f] on every assignment of sorted positions 1..size (read-only).
 
         Equal, value for value and in order, to ``bias_profile(truth_table(ltf),
-        head_mask(ltf, size))``: exact int64 block sums, reindexed to packed order.
+        head_mask(ltf, size))``: exact int64 block sums, reindexed to packed
+        order.  Unlike bias_profile it applies no head cap.
         """
-        head_mask(self.ltf, size)  # checks that 0 <= size <= n_active
-        if size > head_cap:
-            raise CapExceededError(f"head size {size} exceeds head cap {head_cap}")
+        check_int("size", size, 0, self.ltf.n_active)
         n = self.table.arity
         # Sum 2**10-entry rows first: numpy sums many short rows slowly.
         wide = self.table.values.reshape(-1, 1 << max(size, min(n, 10)))
@@ -189,7 +188,7 @@ def prepare(ltf: Ltf, cap: int = DEFAULT_ARITY_CAP) -> Instance:
 def junta_budget(epsilon: float, delta: float, c_l: float = 1.0) -> int:
     """Head budget L = max(1, ceil(c_l * eps^-2 * ln(1/eps) * ln(1/delta)))."""
     epsilon, delta = _check_eps_delta(epsilon, delta)
-    c_l = _check_constant("c_l", c_l)
+    c_l = check_range("c_l", c_l, 0, math.inf, open_lo=True, open_hi=True)
     try:  # eps**-2 or ceil(inf) overflows, ceil(nan) is a ValueError
         raw = c_l * epsilon**-2 * math.log(1.0 / epsilon) * math.log(1.0 / delta)
         return max(1, math.ceil(raw))
@@ -200,7 +199,7 @@ def junta_budget(epsilon: float, delta: float, c_l: float = 1.0) -> int:
 def premise_bound(epsilon: float, delta: float, c_ns: float = 1.0) -> float:
     """Noise-sensitivity premise c_ns * delta^((2-eps)/(1-eps)) * sqrt(eps)."""
     epsilon, delta = _check_eps_delta(epsilon, delta)
-    c_ns = _check_constant("c_ns", c_ns)
+    c_ns = check_range("c_ns", c_ns, 0, math.inf, open_lo=True, open_hi=True)
     return c_ns * delta ** ((2.0 - epsilon) / (1.0 - epsilon)) * math.sqrt(epsilon)
 
 
@@ -209,18 +208,6 @@ def _check_eps_delta(epsilon: float, delta: float) -> tuple[float, float]:
         check_range("epsilon", epsilon, 0, 0.5, open_lo=True),
         check_range("delta", delta, 0, 1, open_lo=True),
     )
-
-
-def _check_constant(name: str, value: float) -> float:
-    value = float(value)
-    if not 0.0 < value < math.inf:
-        raise InvalidInputError(f"{name} must be finite and positive, got {value}")
-    return value
-
-
-def best_junta_on(f: BooleanFunction, head: int) -> BooleanFunction:
-    """Distance-optimal junta on the head coordinates: sign of each block bias."""
-    return _signs(bias_profile(f, head))
 
 
 def _signs(values: np.ndarray) -> BooleanFunction:
@@ -257,6 +244,13 @@ def _project(biases: np.ndarray, delta: float) -> HeadProjection:
     )
 
 
+def _proper_head_biases(instance: Instance, size: int) -> np.ndarray:
+    # A head of every active coordinate is the whole function: no head cap.
+    if size < instance.ltf.n_active:
+        check_cap("head size", size, HEAD_CAP, "head cap")
+    return instance.head_biases(size)
+
+
 def extract_junta(
     instance: Instance | Ltf,
     epsilon: float,
@@ -278,10 +272,7 @@ def extract_junta(
     epsilon, delta = _check_eps_delta(epsilon, delta)
     if isinstance(instance, Ltf):
         instance = prepare(instance, cap=config.arity_cap)
-    elif instance.ltf.n_inputs > config.arity_cap:
-        raise CapExceededError(
-            f"arity {instance.ltf.n_inputs} exceeds cap {config.arity_cap}"
-        )
+    check_cap("arity", instance.ltf.n_inputs, config.arity_cap)
     ltf, spectrum = instance.ltf, instance.spectrum
     n = ltf.n_inputs
     ns_value = ns_exact(spectrum, epsilon)
@@ -305,7 +296,7 @@ def extract_junta(
     elif ell <= budget:
         head_size = int(ell)
         junta_set = head_mask(ltf, head_size)
-        proj = _project(instance.head_biases(head_size), delta)
+        proj = _project(_proper_head_biases(instance, head_size), delta)
         frac_unbiased = proj.frac_unbiased
         biases = proj.biases
         if proj.certified:
@@ -325,9 +316,7 @@ def extract_junta(
         case = JuntaCase.HEAD_JUNTA
         head_size = min(budget, ltf.n_active)
         junta_set = head_mask(ltf, head_size)
-        # A head of every active coordinate is the whole function: no head cap.
-        cap = MAX_ARITY_CAP if head_size == ltf.n_active else DEFAULT_HEAD_CAP
-        biases = instance.head_biases(head_size, cap)
+        biases = _proper_head_biases(instance, head_size)
         approx = _signs(biases)
         guarantee = delta
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _bits
-from .errors import CapExceededError, DegenerateLtfError, InvalidInputError, check_int, check_range
+from .errors import DegenerateLtfError, InvalidInputError, check_cap, check_int, check_range
 from .fncore import DEFAULT_ARITY_CAP, BooleanFunction
 
 INFINITE_INDEX = math.inf
@@ -110,9 +110,7 @@ def canonicalize(weights, theta: float) -> Ltf:
         raise InvalidInputError("weights must be a nonempty 1-D array")
     if not np.all(np.isfinite(w)):
         raise InvalidInputError("weights must be finite")
-    theta = float(theta)
-    if not math.isfinite(theta):
-        raise InvalidInputError("theta must be finite")
+    theta = check_range("theta", theta, -math.inf, math.inf, open_lo=True, open_hi=True)
     nonzero = np.flatnonzero(w != 0.0)
     if nonzero.size == 0:
         raise DegenerateLtfError("all weights are zero")
@@ -164,7 +162,7 @@ def canonical_table(ltf: Ltf, cap: int = DEFAULT_ARITY_CAP) -> BooleanFunction:
     """
     # The signs are written in place over the comparison.  For finite doubles
     # a - b >= 0 exactly when a >= b: a difference is zero only when a == b.
-    signs = np.greater_equal(_sorted_linear_form(ltf, cap), ltf.theta).view(np.int8)
+    signs = np.greater_equal(canonical_linear_form(ltf, cap), ltf.theta).view(np.int8)
     signs *= 2
     signs -= 1
     if ltf.dropped:
@@ -174,16 +172,18 @@ def canonical_table(ltf: Ltf, cap: int = DEFAULT_ARITY_CAP) -> BooleanFunction:
 
 def linear_form_table(ltf: Ltf, cap: int = DEFAULT_ARITY_CAP) -> np.ndarray:
     """w . x at every row of the cube, same accumulation order as truth_table."""
-    return _bits.spread_table(_sorted_linear_form(ltf, cap), ltf.original_index, ltf.n_inputs)
+    return _bits.spread_table(canonical_linear_form(ltf, cap), ltf.original_index, ltf.n_inputs)
 
 
-def _sorted_linear_form(ltf: Ltf, cap: int) -> np.ndarray:
-    # w . x over the active coordinates, indexed by sorted position: bit p of
-    # the index set means the coordinate at position p is -1.  Position p
-    # doubles the filled prefix, so every entry is 0 +- w_0 +- w_1 ... summed
-    # left to right, exactly as linear_form does.
-    if ltf.n_inputs > cap:
-        raise CapExceededError(f"arity {ltf.n_inputs} exceeds cap {cap}")
+def canonical_linear_form(ltf: Ltf, cap: int = DEFAULT_ARITY_CAP) -> np.ndarray:
+    """w . x over the active coordinates, indexed by sorted position.
+
+    Bit p of the index set means the coordinate at position p is -1, as in
+    :func:`canonical_table`.  Position p doubles the filled prefix, so every
+    entry is 0 +- w_0 +- w_1 ... summed left to right, exactly as
+    :func:`linear_form` does.
+    """
+    check_cap("arity", ltf.n_inputs, cap)
     acc = np.empty(1 << ltf.n_active)
     acc[0] = 0.0
     s = 1
@@ -222,8 +222,7 @@ def critical_index(ltf: Ltf, tau: float) -> int | float:
 
 def head_mask(ltf: Ltf, size: int) -> int:
     """Bitmask of the input coordinates at sorted positions 1..size."""
-    if not 0 <= check_int("size", size) <= ltf.n_active:
-        raise InvalidInputError(f"head size must be in [0, {ltf.n_active}], got {size}")
+    check_int("size", size, 0, ltf.n_active)
     mask = 0
     for coord in ltf.original_index[:size]:
         mask |= 1 << int(coord)
@@ -233,8 +232,7 @@ def head_mask(ltf: Ltf, size: int) -> int:
 def head_split(ltf: Ltf, ell: int) -> HeadSplit:
     """Split sorted positions into head 1..ell and tail ell+1..n_active."""
     m = ltf.weights.size
-    if not 1 <= check_int("ell", ell) <= m:
-        raise InvalidInputError(f"ell must be in [1, {m}], got {ell}")
+    check_int("ell", ell, 1, m)
     head = {p + 1: float(ltf.weights[p]) for p in range(ell)}
     tail = {p + 1: float(ltf.weights[p]) for p in range(ell, m)}
     tail_profile = None
@@ -262,15 +260,9 @@ def parse_theta_law(law: str) -> tuple[str, float]:
         return "zero", 0.0
     kind, sep, raw = law.partition(":")
     if kind in ("fixed", "gaussian") and sep:
-        try:
-            value = float(raw)
-        except ValueError:
-            raise InvalidInputError(f"bad numeric part in theta law {law!r}") from None
-        if not math.isfinite(value):
-            raise InvalidInputError(f"theta law value must be finite, got {law!r}")
-        if kind == "gaussian" and value < 0:
-            raise InvalidInputError(f"gaussian theta scale must be nonnegative, got {law!r}")
-        return kind, value
+        fixed = kind == "fixed"  # a gaussian scale is nonnegative
+        return kind, check_range(f"value of theta law {law!r}", raw, -math.inf if fixed else 0,
+                                 math.inf, open_lo=fixed, open_hi=True)
     raise InvalidInputError(
         f"unknown theta law {law!r}; expected 'zero', 'fixed:<v>' or 'gaussian:<scale>'"
     )
@@ -292,16 +284,14 @@ def random_ltf(
     draw happens after the weights, so instances with the same seed share
     weights across theta laws.
     """
-    if check_int("n", n) < 1:
-        raise InvalidInputError(f"n must be a positive int, got {n!r}")
+    check_int("n", n, 1)
     kind = _FAMILY_ALIASES.get(family)
     if kind is None:
         raise InvalidInputError(
             f"unknown family {family!r}; expected one of {sorted(set(_FAMILY_ALIASES))}"
         )
     if kind == "geometric":
-        if rate is None or not 0.0 < float(rate) < 1.0:
-            raise InvalidInputError(f"geometric family needs rate in (0, 1), got {rate!r}")
+        rate = check_range("rate", rate, 0, 1, open_lo=True, open_hi=True)
     elif rate is not None:
         raise InvalidInputError(f"family {family!r} takes no rate")
     law_kind, law_value = parse_theta_law(theta_law)
@@ -313,7 +303,7 @@ def random_ltf(
         if not np.any(weights != 0.0):
             raise DegenerateLtfError("gaussian draw produced an all-zero vector")
     else:
-        weights = float(rate) ** np.arange(1, n + 1, dtype=np.float64)
+        weights = rate ** np.arange(1, n + 1, dtype=np.float64)
     if law_kind == "zero":
         theta = 0.0
     elif law_kind == "fixed":

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _bits, ltf as ltf_mod
-from .errors import CapExceededError, InvalidInputError, check_int, check_range
+from .errors import InvalidInputError, check_cap, check_int, check_range
 from .fncore import DEFAULT_ARITY_CAP, BooleanFunction, FourierSpectrum
 from .ltf import Ltf
 
@@ -78,8 +78,7 @@ class QuadrantComparison:
 
 def hoeffding_radius(samples: int) -> float:
     """Two-sided Hoeffding radius for a mean of ``samples`` {0,1} draws."""
-    if check_int("samples", samples) < 1:
-        raise InvalidInputError(f"samples must be a positive int, got {samples!r}")
+    samples = check_int("samples", samples, 1)
     return math.sqrt(math.log(2.0 / MC_FAILURE_PROB) / (2.0 * samples))
 
 
@@ -132,11 +131,7 @@ def ns_bruteforce(f: BooleanFunction, epsilon: float) -> float:
     cross-check of :func:`ns_exact`; keep both routes intact.
     """
     epsilon = check_range("epsilon", epsilon, 0, 1)
-    if f.arity > DEFAULT_BRUTEFORCE_CAP:
-        raise CapExceededError(
-            f"arity {f.arity} exceeds brute-force cap {DEFAULT_BRUTEFORCE_CAP}"
-        )
-    n = f.arity
+    n = check_cap("arity", f.arity, DEFAULT_BRUTEFORCE_CAP, "brute-force cap")
     size = 1 << n
     idx = np.arange(size)
     disagreements = np.zeros(n + 1)
@@ -214,9 +209,7 @@ def gaussian_ns_bound(theta: float, epsilon: float) -> float:
     arccos(rho)/pi * exp(-theta^2 / (1 + rho)).
     """
     epsilon = check_range("epsilon", epsilon, 0, 0.5)
-    theta = float(theta)
-    if not math.isfinite(theta):
-        raise InvalidInputError(f"theta must be finite, got {theta}")
+    theta = check_range("theta", theta, -math.inf, math.inf, open_lo=True, open_hi=True)
     rho = 1.0 - 2.0 * epsilon
     return math.acos(rho) / math.pi * math.exp(-theta * theta / (1.0 + rho))
 
@@ -224,9 +217,7 @@ def gaussian_ns_bound(theta: float, epsilon: float) -> float:
 def gaussian_ns_mc(theta: float, rho: float, samples: int, seed) -> McEstimate:
     """Monte Carlo disagreement probability of sign(. - theta) on a rho-pair."""
     rho = check_range("rho", rho, -1, 1)
-    theta = float(theta)
-    if not math.isfinite(theta):
-        raise InvalidInputError(f"theta must be finite, got {theta}")
+    theta = check_range("theta", theta, -math.inf, math.inf, open_lo=True, open_hi=True)
     radius = hoeffding_radius(samples)
     comp = math.sqrt(max(0.0, 1.0 - rho * rho))
     hits = 0
@@ -243,10 +234,8 @@ def _interval(bounds) -> tuple[float, float]:
         lo, hi = bounds
     except (TypeError, ValueError):
         raise InvalidInputError(f"interval must be a (lo, hi) pair, got {bounds!r}") from None
-    lo, hi = float(lo), float(hi)
-    if math.isnan(lo) or math.isnan(hi) or lo > hi:
-        raise InvalidInputError(f"interval must satisfy lo <= hi, got ({lo}, {hi})")
-    return lo, hi
+    lo = check_range("interval lo", lo, -math.inf, math.inf)
+    return lo, check_range("interval hi", hi, lo, math.inf)
 
 
 def _bvn_cdf(h: float, k: float, rho: float) -> float:
@@ -299,7 +288,7 @@ def bivariate_rectangle(interval1, interval2, rho: float) -> float:
 def gaussian_disagreement(theta: float, rho: float) -> float:
     """Exact P[sign(X - theta) != sign(Y - theta)] for a rho-correlated pair."""
     rho = check_range("rho", rho, -1, 1)
-    theta = float(theta)
+    theta = check_range("theta", theta, -math.inf, math.inf)
     upper = bivariate_rectangle((theta, math.inf), (theta, math.inf), rho)
     return max(0.0, 2.0 * (gaussian_tail(theta) - upper))
 
@@ -320,7 +309,7 @@ def regular_cdf_gap(ltf: Ltf, t_grid=None, cap: int = DEFAULT_ARITY_CAP) -> floa
     jump of the discrete CDF.  With a grid, the max of |F(t) - Phi(t)| over the
     grid points is returned instead.
     """
-    values = ltf_mod.linear_form_table(ltf, cap=cap)
+    values = ltf_mod.canonical_linear_form(ltf, cap=cap)
     size = values.size
     if t_grid is not None:
         grid = np.asarray(t_grid, dtype=np.float64)

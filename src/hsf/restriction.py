@@ -20,22 +20,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _bits
-from .errors import CapExceededError, InvalidInputError, check_int, check_range
+from .errors import InvalidInputError, check_cap, check_int, check_range
 from .fncore import BooleanFunction, wht
 from .noise import CHECK_TOL, ns_exact
 
-DEFAULT_HEAD_CAP = 16
+# Largest head whose 2**h assignments a bias profile or aggregation enumerates.
+HEAD_CAP = 16
 
 
 def _check_head(head: int, arity: int) -> list[int]:
-    if not 0 <= check_int("head", head) < (1 << arity):
-        raise InvalidInputError(f"head mask {head:#x} out of range for arity {arity}")
-    return _bits.bit_positions(head)
-
-
-def _check_head_size(h: int, head_cap: int) -> None:
-    if h > head_cap:
-        raise CapExceededError(f"head size {h} exceeds head cap {head_cap}")
+    return _bits.bit_positions(check_int("head", head, 0, (1 << arity) - 1))
 
 
 @dataclass(frozen=True)
@@ -75,9 +69,7 @@ class NsAggregation:
         """If more than a delta fraction of restrictions exceed t, the parent
         noise sensitivity must be at least t * delta."""
         t = check_range("t", t, 0, math.inf)
-        delta = float(delta)
-        if not 0.0 < delta < 1.0:
-            raise InvalidInputError(f"delta must be in (0, 1), got {delta}")
+        delta = check_range("delta", delta, 0, 1, open_lo=True, open_hi=True)
         frac = float(np.count_nonzero(self.restricted > t)) / self.restricted.size
         fires = frac > delta
         implied = t * delta if fires else 0.0
@@ -95,8 +87,7 @@ def restrict(f: BooleanFunction, head: int, index: int) -> BooleanFunction:
     """
     head_pos = _check_head(head, f.arity)
     h = len(head_pos)
-    if not 0 <= check_int("index", index) < (1 << h):
-        raise InvalidInputError(f"assignment index {index} out of range for |H| = {h}")
+    check_int("index", index, 0, (1 << h) - 1)
     # On the (2,)*n cube view coordinate c is axis n-1-c: fix the bit of each
     # head axis and keep the others, highest coordinate first.
     n = f.arity
@@ -107,11 +98,12 @@ def restrict(f: BooleanFunction, head: int, index: int) -> BooleanFunction:
     return BooleanFunction(n - h, cube.reshape(-1))
 
 
-def bias_profile(f: BooleanFunction, head: int, head_cap: int = DEFAULT_HEAD_CAP) -> np.ndarray:
-    """E[f] conditioned on every head assignment, by packed index (read-only)."""
-    head_pos = _check_head(head, f.arity)
-    h = len(head_pos)
-    _check_head_size(h, head_cap)
+def bias_profile(f: BooleanFunction, head: int) -> np.ndarray:
+    """E[f] conditioned on every head assignment, by packed index (read-only).
+
+    A head of more than HEAD_CAP coordinates fails with CapExceededError.
+    """
+    h = check_cap("head size", len(_check_head(head, f.arity)), HEAD_CAP, "head cap")
     # On the (2,)*n cube view, moving the head axes to the front (highest
     # coordinate first) makes each row one block, in packed-index order.
     # Block sums of +-1 entries are exact integers, so the summation order
@@ -137,7 +129,7 @@ def restriction_energy_identity(
     Keep the routes independent; their agreement is the point.
     """
     head_pos = _check_head(head, f.arity)
-    _check_head(subset, f.arity)
+    check_int("subset", subset, 0, (1 << f.arity) - 1)
     if head & subset:
         raise InvalidInputError(
             f"subset {subset:#x} must be disjoint from head {head:#x}"
@@ -163,9 +155,7 @@ def ns_aggregation_check(f: BooleanFunction, head: int, epsilon: float) -> NsAgg
     Restricting can only lower noise sensitivity on average; the result also
     carries the per-assignment values for threshold corollaries.
     """
-    head_pos = _check_head(head, f.arity)
-    h = len(head_pos)
-    _check_head_size(h, DEFAULT_HEAD_CAP)
+    h = check_cap("head size", len(_check_head(head, f.arity)), HEAD_CAP, "head cap")
     restricted = np.empty(1 << h)
     for a in range(1 << h):
         g = restrict(f, head, a)
@@ -186,7 +176,7 @@ def embed_junta(g: BooleanFunction, head: int, arity: int) -> BooleanFunction:
     Variable j of ``g`` is identified with the j-th smallest head coordinate.
     With ``fncore.distance``, the test oracle for ``extract_junta`` distances.
     """
-    head_pos = _check_head(head, arity)
+    head_pos = _check_head(head, check_int("arity", arity, 0))
     if g.arity != len(head_pos):
         raise InvalidInputError(
             f"junta arity {g.arity} does not match head size {len(head_pos)}"

@@ -13,7 +13,7 @@ from conftest import record_criterion
 
 from hsf import (
     BooleanFunction,
-    best_junta_on,
+    bias_profile,
     canonicalize,
     cli,
     constant_bound_check,
@@ -275,7 +275,8 @@ def test_criterion_11_best_junta_optimality():
             f = random_function(n, [SEED, 11, n, h])
             head_positions = rng.choice(n, size=h, replace=False)
             head = int(sum(1 << int(j) for j in head_positions))
-            best = distance(f, embed_junta(best_junta_on(f, head), head, n))
+            best_junta = BooleanFunction(h, np.where(bias_profile(f, head) >= 0, 1, -1))
+            best = distance(f, embed_junta(best_junta, head, n))
             for pattern in range(1 << (1 << h)):
                 bits = (pattern >> np.arange(1 << h)) & 1
                 candidate = BooleanFunction(h, np.where(bits == 1, 1, -1))

@@ -192,7 +192,7 @@ class TestJunta:
         )
         captured = capsys.readouterr()
         assert code == 2
-        assert captured.err.startswith(f"error: {flag[2:].replace('-', '_')} must be finite")
+        assert captured.err.startswith(f"error: {flag[2:].replace('-', '_')} must be in (0, inf)")
         assert "Traceback" not in captured.err
         assert captured.out == ""
 

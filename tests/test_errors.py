@@ -1,0 +1,94 @@
+"""The shared argument, range and cap checks, and junk scalars at every entry point."""
+
+import pathlib
+
+import numpy as np
+import pytest
+
+import hsf
+from hsf import (
+    BooleanFunction,
+    CapExceededError,
+    FourierSpectrum,
+    InvalidInputError,
+    TheoremConfig,
+    bivariate_rectangle,
+    canonicalize,
+    embed_junta,
+    extract_junta,
+    from_values,
+    gaussian_ns_bound,
+    is_junta_on,
+    ns_aggregation_check,
+    ns_exact,
+    random_function,
+    random_ltf,
+    wht,
+)
+from hsf.errors import check_cap, check_int, check_range
+
+_F = from_values(2, [1, 1, -1, 1])
+_LT = canonicalize([3.0, 1.0, 1.0], 0.2)
+_AGG = ns_aggregation_check(random_function(4, seed=0), 0b11, 0.1)
+
+# Scalar arguments that are not numbers, not ints, or negative arities.
+_JUNK_CALLS = {
+    "is_junta_on-float-mask": lambda: is_junta_on(_F, 1.5),
+    "extract_junta-str-eps": lambda: extract_junta(_LT, "x", 0.5),
+    "extract_junta-none-eps": lambda: extract_junta(_LT, None, 0.5),
+    "random_ltf-str-rate": lambda: random_ltf(4, "geometric", rate="x"),
+    "threshold_corollary-str-delta": lambda: _AGG.threshold_corollary(0.1, "x"),
+    "BooleanFunction-negative-arity": lambda: BooleanFunction(-1, [1]),
+    "BooleanFunction-float-arity": lambda: BooleanFunction(2.0, [1, 1, 1, 1]),
+    "FourierSpectrum-negative-arity": lambda: FourierSpectrum(-1, []),
+    "ns_exact-str-eps": lambda: ns_exact(wht(_F), "x"),
+    "TheoremConfig-str-c_ns": lambda: TheoremConfig(c_ns="x"),
+    "gaussian_ns_bound-str-theta": lambda: gaussian_ns_bound("x", 0.1),
+    "canonicalize-str-theta": lambda: canonicalize([1.0], "x"),
+    "bivariate_rectangle-str-endpoint": lambda: bivariate_rectangle((0, "x"), (0, 1), 0.5),
+    "embed_junta-str-arity": lambda: embed_junta(_F, 0b11, "x"),
+}
+
+
+@pytest.mark.parametrize("call", _JUNK_CALLS.values(), ids=_JUNK_CALLS.keys())
+def test_junk_scalars_raise_invalid_input(call):
+    with pytest.raises(InvalidInputError):
+        call()
+
+
+def test_range_ends_and_types():
+    assert check_range("x", np.float64(0.5), 0, 1, open_lo=True, open_hi=True) == 0.5
+    assert check_range("x", 1, 0, 1) == 1.0
+    with pytest.raises(InvalidInputError, match=r"^x must be in \(0, 1\), got 1.0$"):
+        check_range("x", 1, 0, 1, open_lo=True, open_hi=True)
+    with pytest.raises(InvalidInputError, match=r"^x must be in \[0, 1\], got nan$"):
+        check_range("x", "nan", 0, 1)
+    for junk in (True, "x", None, [0.5], 10**400):
+        with pytest.raises(InvalidInputError, match="x must convert to a float"):
+            check_range("x", junk, 0, 2)
+
+
+def test_int_bounds_and_types():
+    assert check_int("k", np.int64(3), 0, 3) == 3 and type(check_int("k", np.int64(3))) is int
+    with pytest.raises(InvalidInputError, match=r"^k must be in \[0, 3\], got 4$"):
+        check_int("k", 4, 0, 3)
+    with pytest.raises(InvalidInputError, match=r"^k must be in \[1, inf\], got 0$"):
+        check_int("k", 0, 1)
+    for junk in (True, np.bool_(False), 1.0, "1", None):
+        with pytest.raises(InvalidInputError, match="k must be an int"):
+            check_int("k", junk)
+
+
+def test_cap_wording():
+    assert check_cap("arity", 20, 20) == 20
+    with pytest.raises(CapExceededError, match="^arity 21 exceeds cap 20$"):
+        check_cap("arity", 21, 20)
+    with pytest.raises(CapExceededError, match="^head size 17 exceeds head cap 16$"):
+        check_cap("head size", 17, 16, "head cap")
+
+
+def test_cap_errors_are_raised_in_one_place():
+    package = pathlib.Path(hsf.__file__).parent
+    raising = [path.name for path in sorted(package.glob("*.py"))
+               if "raise CapExceededError" in path.read_text()]
+    assert raising == ["errors.py"]

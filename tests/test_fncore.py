@@ -162,7 +162,7 @@ class TestJuntaPredicate:
         assert is_junta_on(from_values(2, [1, 1, 1, 1]), 0)
 
     def test_mask_out_of_range(self):
-        with pytest.raises(InvalidInputError, match="out of range"):
+        with pytest.raises(InvalidInputError, match=r"variables must be in \[0, 7\]"):
             is_junta_on(MAJ3, 1 << 3)
         with pytest.raises(InvalidInputError):
             is_junta_on(MAJ3, -1)

@@ -36,6 +36,7 @@ from hsf import (
     ns_exact,
     prepare,
     random_function,
+    regular_cdf_gap,
     regularity_profile,
     restrict,
     synthesize,
@@ -187,7 +188,7 @@ def test_bias_profile_matches_gathered_bincount(data):
     head = data.draw(st.integers(0, (1 << arity) - 1))
     f = random_function(arity, seed=data.draw(st.integers(0, 2**32 - 1)))
     expected = slow_bias_profile(f.values, head, arity)
-    assert bias_profile(f, head, head_cap=14).tobytes() == expected.tobytes()
+    assert bias_profile(f, head).tobytes() == expected.tobytes()
 
 
 def _wht_oracle(f):
@@ -404,3 +405,17 @@ def test_instances_never_build_input_order_tables(monkeypatch):
     for case, lt, eps, delta, c_l, _ in _CASE_INPUTS:
         report = extract_junta(prepare(lt), eps, delta, TheoremConfig(c_l=c_l))
         assert str(report.case) == case
+
+
+def test_cdf_gap_never_builds_the_input_order_linear_form(monkeypatch):
+    # The gap depends only on the multiset of w . x values, which dropped
+    # coordinates repeat evenly, so the sorted-position form is enough.
+    def refuse(*args, **kwargs):
+        raise AssertionError("regular_cdf_gap reached the input-order linear form")
+
+    monkeypatch.setattr(hsf.ltf, "linear_form_table", refuse)
+    grid = np.linspace(-3, 3, 61)
+    active = canonicalize([3.0, 1.0, 2.0, 1.0, 0.5], 0.25)
+    dropped = canonicalize([0.0, 3.0, 1.0, 0.0, 2.0, 1.0, 0.5], 0.25)
+    assert regular_cdf_gap(dropped) == regular_cdf_gap(active) > 0
+    assert regular_cdf_gap(dropped, t_grid=grid) == regular_cdf_gap(active, t_grid=grid) > 0

@@ -214,7 +214,7 @@ class TestGaussianPairs:
         assert a + b == pytest.approx(c, abs=1e-12)
 
     def test_rectangle_validation(self):
-        with pytest.raises(InvalidInputError, match="lo <= hi"):
+        with pytest.raises(InvalidInputError, match=r"interval hi must be in \[1, inf\]"):
             bivariate_rectangle((1, 0), (0, 1), 0.0)
         with pytest.raises(InvalidInputError, match="pair"):
             bivariate_rectangle(3, (0, 1), 0.0)
