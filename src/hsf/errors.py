@@ -61,7 +61,7 @@ def check_int(name: str, value, lo: float = -math.inf, hi: float = math.inf) -> 
 
 
 def check_cap(name: str, size: int, cap: int, cap_name: str = "cap") -> int:
-    """``size`` unchanged; CapExceededError when it exceeds ``cap``."""
-    if size > cap:
+    """``size`` unchanged; CapExceededError when it exceeds ``cap``, an int."""
+    if size > check_int(cap_name, cap):
         raise CapExceededError(f"{name} {size} exceeds {cap_name} {cap}")
     return size

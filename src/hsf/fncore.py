@@ -3,13 +3,19 @@
 A function is stored as a dense value table of length 2**n over the row-index
 convention of :mod:`hsf._bits`: bit j of row k set means variable j takes the
 value -1.  Under that convention the parity of a variable set S (a bitmask)
-evaluates to (-1)**popcount(k & S) at row k, so the in-place butterfly below
-computes Fourier coefficients with no index remapping: coefficient S lands at
-array position S.
+evaluates to (-1)**popcount(k & S) at row k, so the transform computes Fourier
+coefficients with no index remapping: coefficient S lands at array position S.
 
-All operations are pure and deterministic.  Exact transforms are O(n * 2**n)
-and guarded by an arity cap (default 20, raisable to 24 by callers that accept
-the memory cost).
+The transform uses H(2**n) = H(2**r) (x) H(64) (x) ... (x) H(64), r = n mod 6
+(Fino & Algazi, IEEE Trans. Computers, 1976): each group of six bits, lowest
+first, is one batched float32 product with the 64 x 64 Hadamard matrix (its
+leading 2**r block for the top group).  Every operand and every partial sum
+is an integer of magnitude at most 2**n <= 2**24, and float32 holds every
+such integer, so the sums are exact in any order.
+
+All operations are pure and deterministic.  Exact transforms take at most
+64 * ceil(n / 6) multiply-adds per entry and are guarded by an arity cap
+(default 20, raisable to 24 by callers that accept the memory cost).
 """
 
 from __future__ import annotations
@@ -26,12 +32,20 @@ from .errors import InvalidInputError, check_cap, check_int
 DEFAULT_ARITY_CAP = 20
 MAX_ARITY_CAP = 24
 
-# Entries per np.bincount call when summing degree weights; bounds the
-# temporaries (squares and intp bins) independently of the arity.
-_DEGREE_CHUNK = 1 << 16
+# Entries per np.bincount or np.matmul call; bounds the temporaries (squares,
+# casts and intp bins) independently of the arity.
+_CHUNK = 1 << 16
+
+# Multiply-adds per matrix product in the transform.  OpenBLAS runs products
+# up to this size on one thread; threaded ones stalled whenever another
+# process held the second core (0.5 ms became 12-16 ms at n = 16).
+_MACS = 1 << 18
 
 # Sylvester's Hadamard matrix of order 64; its leading 2**k block has order 2**k.
 _H64 = functools.reduce(np.kron, [np.array([[1, 1], [1, -1]], dtype=np.float32)] * 6)
+
+# Entry (j, d) is 1.0 when popcount(j) == d.
+_LOW_DEGREE = np.equal.outer(_bits.popcounts(6), np.arange(7)).astype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -118,12 +132,12 @@ class FourierSpectrum:
         """
         n = self.arity
         counts = _bits.popcounts(n)
-        bins = np.empty(n + 1 + _DEGREE_CHUNK, dtype=np.intp)
+        bins = np.empty(n + 1 + _CHUNK, dtype=np.intp)
         bins[:n + 1] = np.arange(n + 1)
-        terms = np.empty(n + 1 + _DEGREE_CHUNK)
+        terms = np.empty(n + 1 + _CHUNK)
         totals = np.zeros(n + 1)
-        for lo in range(0, self.coefficients.size, _DEGREE_CHUNK):
-            chunk = self.coefficients[lo:lo + _DEGREE_CHUNK]
+        for lo in range(0, self.coefficients.size, _CHUNK):
+            chunk = self.coefficients[lo:lo + _CHUNK]
             end = n + 1 + chunk.size
             bins[n + 1:end] = counts[lo:lo + chunk.size]
             np.multiply(chunk, chunk, out=terms[n + 1:end])
@@ -139,12 +153,12 @@ def from_values(arity: int, values, cap: int = DEFAULT_ARITY_CAP) -> BooleanFunc
                            np.asarray(values))
 
 
-def _butterfly(a: np.ndarray, h: int = 1) -> np.ndarray:
-    # Unnormalized transform of ``a`` in place from block width h on (the
-    # narrower passes already done), returned for chaining.  Each pass saves
-    # the left halves in one half-size scratch buffer, then forms left + right
-    # and left - right in the array itself.
+def _butterfly(a: np.ndarray) -> np.ndarray:
+    # Unnormalized transform of ``a`` in place, returned for chaining.  Each
+    # pass saves the left halves in one half-size scratch buffer, then forms
+    # left + right and left - right in the array itself.
     scratch = np.empty(a.size // 2, dtype=a.dtype)
+    h = 1
     while h < a.size:
         pairs = a.reshape(-1, 2, h)
         left, right, saved = pairs[:, 0], pairs[:, 1], scratch.reshape(-1, h)
@@ -155,39 +169,98 @@ def _butterfly(a: np.ndarray, h: int = 1) -> np.ndarray:
     return a
 
 
-def wht(f: BooleanFunction) -> FourierSpectrum:
+def _hadamard_pass(src: np.ndarray, dst: np.ndarray, width: int, stride: int) -> None:
+    # dst = H(width) applied along the bits [log2 stride, log2(stride * width))
+    # of src: batches of products of at most _MACS multiply-adds each, at most
+    # _CHUNK entries a np.matmul call.
+    h = _H64[:width, :width]
+    span = min(_CHUNK // width, _MACS // width**2)  # vectors per product
+    if stride == 1:  # rows times the symmetric matrix
+        span = min(span, src.size // width)
+        x, y = src.reshape(-1, span, width), dst.reshape(-1, span, width)
+        step = _CHUNK // (span * width)
+        for lo in range(0, len(x), step):
+            np.matmul(x[lo:lo + step], h, out=y[lo:lo + step])
+        return
+    span = min(span, stride)
+    parts = stride // span  # products per block of width * stride entries
+    x = src.reshape(-1, width, parts, span).swapaxes(1, 2)
+    y = dst.reshape(-1, width, parts, span).swapaxes(1, 2)
+    per_call = _CHUNK // (width * span)
+    blocks, cols = max(1, per_call // parts), min(parts, per_call)
+    for b in range(0, len(x), blocks):
+        for c in range(0, parts, cols):
+            np.matmul(h, x[b:b + blocks, c:c + cols], out=y[b:b + blocks, c:c + cols])
+
+
+def _hadamard_sums(values: np.ndarray, n: int) -> np.ndarray:
+    # Unnormalized float64 transform of a 2**n-entry int8 table.  The passes
+    # alternate between the float32 view of the result's first half and one
+    # float32 spare, so the last pass reads the spare and writes the result;
+    # the spare and every view die when this returns.
+    widths = [64] * (n // 6)
+    if n % 6 or not widths:
+        widths.append(1 << n % 6)
+    sums = np.empty(values.size)
+    buffers = (sums.view(np.float32)[:values.size], np.empty(values.size, dtype=np.float32))
+    src, stride = values, 1
+    for later, width in zip(range(len(widths) - 1, -1, -1), widths):
+        dst = buffers[later % 2] if later else sums
+        _hadamard_pass(src, dst, width, stride)
+        src, stride = dst, stride * width
+    return sums
+
+
+def _table_degree_weights(coefficients: np.ndarray, n: int) -> np.ndarray:
+    # Degree weights of a +-1 table's spectrum, read-only.  Each row of 64
+    # squares is summed per low-six-bit popcount by one float64 product with
+    # _LOW_DEGREE, then per row popcount by one np.bincount per low degree.
+    # Every partial sum is a multiple of 4**-n of at most 1, exact in any
+    # order for n <= 26, so the bytes equal FourierSpectrum.degree_weights.
+    low = min(n, 6)
+    rows = coefficients.reshape(-1, 1 << low)
+    indicator = _LOW_DEGREE[:1 << low, :low + 1]
+    high = _bits.popcounts(n - low)
+    totals = np.zeros(n + 1)
+    step = _CHUNK >> low
+    for lo in range(0, len(rows), step):
+        by_low = np.square(rows[lo:lo + step]) @ indicator
+        for d in range(low + 1):
+            totals[d:d + n - low + 1] += np.bincount(
+                high[lo:lo + step], weights=by_low[:, d], minlength=n - low + 1)
+    totals.setflags(write=False)
+    return totals
+
+
+def wht(f: BooleanFunction, with_degree_weights: bool = False) -> FourierSpectrum:
     """Fourier coefficients of ``f`` via the fast transform.
 
-    H(2**n) = H(2**(n-6)) (x) H(64): the six lowest passes are one float32
-    product of each 64-entry row with _H64 (its leading block when n < 6),
-    exact because its entries are integers of magnitude at most 64.  The other
-    passes run in int32, exact below n = 31 (the arity cap is 24).  The sums
-    are divided by 2**n once in float64, so every coefficient is the correctly
-    rounded value of the exact one.
+    One exact float32 Kronecker pass per six bits (see the module docstring),
+    the last written into the float64 result, which is then scaled by 2**-n in
+    place: exact, so each coefficient equals the exact integer sum divided by
+    2**n bit for bit.  With ``with_degree_weights`` the spectrum's
+    ``degree_weights`` memo is filled too, by a route exact for +-1 tables.
+    Arities above MAX_ARITY_CAP, where float32 sums would round, are refused.
     """
-    width = 1 << min(f.arity, 6)
-    rows = f.values.reshape(-1, width)
-    sums = np.empty(rows.shape, dtype=np.int32)
-    # 64-row tiles: 64**3 multiply-adds stay under OpenBLAS's threading
-    # cutoff, and larger, threaded products stalled.
-    for lo in range(0, len(rows), 64):
-        sums[lo:lo + 64] = np.matmul(rows[lo:lo + 64], _H64[:width, :width])
-    sums = _butterfly(sums.reshape(-1), width)
-    coeffs = sums / float(sums.size)
+    n = check_cap("arity", f.arity, MAX_ARITY_CAP)
+    coeffs = _hadamard_sums(f.values, n)
+    coeffs *= 2.0 ** -n
     coeffs.setflags(write=False)
     # Nothing else references this fresh array, so FourierSpectrum's
     # defensive copy is skipped by setting the fields directly.
     spectrum = object.__new__(FourierSpectrum)
-    object.__setattr__(spectrum, "arity", f.arity)
+    object.__setattr__(spectrum, "arity", n)
     object.__setattr__(spectrum, "coefficients", coeffs)
+    if with_degree_weights:  # cached_property reads the instance dict first
+        object.__setattr__(spectrum, "degree_weights", _table_degree_weights(coeffs, n))
     return spectrum
 
 
 def synthesize(spectrum: FourierSpectrum) -> np.ndarray:
     """Real-valued table of the polynomial with the given coefficients.
 
-    Inverse of :func:`wht` up to rounding: the same butterfly, in float64 on
-    a copy of the coefficients, without the final normalization.
+    Inverse of :func:`wht` up to rounding: the in-place float64 butterfly on
+    a copy of the coefficients, without the normalization.
     """
     return _butterfly(spectrum.coefficients.copy())
 

@@ -16,6 +16,7 @@ noise sensitivity of a threshold sign(X - theta).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,7 +79,7 @@ class QuadrantComparison:
 
 def hoeffding_radius(samples: int) -> float:
     """Two-sided Hoeffding radius for a mean of ``samples`` {0,1} draws."""
-    samples = check_int("samples", samples, 1)
+    samples = check_int("samples", samples, 1, sys.float_info.max / 2)  # 2.0 * samples is finite
     return math.sqrt(math.log(2.0 / MC_FAILURE_PROB) / (2.0 * samples))
 
 

@@ -18,11 +18,14 @@ from hsf import (
     extract_junta,
     from_values,
     gaussian_ns_bound,
+    hoeffding_radius,
     is_junta_on,
     ns_aggregation_check,
     ns_exact,
+    prepare,
     random_function,
     random_ltf,
+    regular_cdf_gap,
     wht,
 )
 from hsf.errors import check_cap, check_int, check_range
@@ -31,7 +34,8 @@ _F = from_values(2, [1, 1, -1, 1])
 _LT = canonicalize([3.0, 1.0, 1.0], 0.2)
 _AGG = ns_aggregation_check(random_function(4, seed=0), 0b11, 0.1)
 
-# Scalar arguments that are not numbers, not ints, or negative arities.
+# Scalar arguments that are not numbers, not ints, negative arities, or ints
+# too large for the float arithmetic that follows.
 _JUNK_CALLS = {
     "is_junta_on-float-mask": lambda: is_junta_on(_F, 1.5),
     "extract_junta-str-eps": lambda: extract_junta(_LT, "x", 0.5),
@@ -47,6 +51,10 @@ _JUNK_CALLS = {
     "canonicalize-str-theta": lambda: canonicalize([1.0], "x"),
     "bivariate_rectangle-str-endpoint": lambda: bivariate_rectangle((0, "x"), (0, 1), 0.5),
     "embed_junta-str-arity": lambda: embed_junta(_F, 0b11, "x"),
+    "hoeffding_radius-huge-samples": lambda: hoeffding_radius(10**400),
+    "regular_cdf_gap-str-cap": lambda: regular_cdf_gap(_LT, cap="x"),
+    "from_values-none-cap": lambda: from_values(1, [1, -1], cap=None),
+    "prepare-float-cap": lambda: prepare(_LT, cap=1.5),
 }
 
 
@@ -80,7 +88,9 @@ def test_int_bounds_and_types():
 
 
 def test_cap_wording():
-    assert check_cap("arity", 20, 20) == 20
+    assert check_cap("arity", 20, 20) == 20 and check_cap("arity", 3, np.int64(20)) == 3
+    with pytest.raises(InvalidInputError, match="^head cap must be an int, got 1.5$"):
+        check_cap("head size", 1, 1.5, "head cap")
     with pytest.raises(CapExceededError, match="^arity 21 exceeds cap 20$"):
         check_cap("arity", 21, 20)
     with pytest.raises(CapExceededError, match="^head size 17 exceeds head cap 16$"):

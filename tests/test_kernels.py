@@ -5,14 +5,19 @@ weights, cube-view restriction, broadcast junta embedding, axis-sum bias
 profiles) promise the same floating-point addition sequence, or the same
 gathered rows, as the slow routes in ``_oracles``, so equality is asserted on
 ``tobytes()``, never with a tolerance.  Arities reach 18 so the 2**16-entry
-chunking boundary is crossed.  The in-place int32 transform must match the
-float64 butterfly divided by 2**n exactly, up to arity 22, including the
-64 x 64 float32 tiles of its six lowest passes.  The distance an extraction
+chunking boundary is crossed.  The transform, one float32 Kronecker pass with
+the 64 x 64 Hadamard matrix per six bits, must match the float64 butterfly
+divided by 2**n exactly up to arity 22, and the exact spectrum at arity 24,
+where its sums reach 2**24, the end of float32's exact integers.  The degree
+weights ``prepare`` fills must equal one plain bincount, and the transform and
+that fill must stay within their memory bounds.  The distance an extraction
 reads from block counts must equal, byte for byte, the distance of its junta
 lifted to the full table, in every case.  A prepared instance is built in
 sorted-position order, and everything an extraction reads from it must equal,
 byte for byte, the same value read from the input-order table.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +41,7 @@ from hsf import (
     ns_exact,
     prepare,
     random_function,
+    random_ltf,
     regular_cdf_gap,
     regularity_profile,
     restrict,
@@ -44,7 +50,7 @@ from hsf import (
     wht,
 )
 from hsf._bits import popcounts
-from hsf.fncore import _butterfly
+from hsf.fncore import _butterfly, _table_degree_weights
 
 from _oracles import (
     slow_bias_profile,
@@ -148,6 +154,31 @@ def test_degree_weights_of_tables_match_single_bincount(wt):
     assert spectrum.degree_weights.tobytes() == expected.tobytes()
 
 
+def _check_prepared_degree_weights(lt, cap):
+    spectrum = prepare(lt, cap=cap).spectrum
+    assert "degree_weights" in vars(spectrum)  # filled by prepare, not on first use
+    weights = spectrum.degree_weights
+    expected = slow_degree_weights(spectrum.coefficients, lt.n_inputs)
+    assert weights.tobytes() == expected.tobytes()
+    assert not weights.flags.writeable
+
+
+@settings(max_examples=40, deadline=None)
+@given(weights_and_theta(max_n=16))
+def test_prepared_degree_weights_match_single_bincount(wt):
+    _check_prepared_degree_weights(canonicalize(*wt), 16)
+
+
+# n = 5 takes the leading block of the row indicator; 6 is one row, 20 and 22
+# cross many 2**16-entry chunks.
+@pytest.mark.parametrize("n, family", [(5, "equal"), (6, "geometric"), (20, "gaussian"),
+                                       (22, "geometric")])
+def test_prepared_degree_weights_match_single_bincount_at_chunk_edges(n, family):
+    rate = 0.9 if family == "geometric" else None
+    lt = random_ltf(n, family, rate=rate, theta_law="gaussian:1", seed=n)
+    _check_prepared_degree_weights(lt, n)
+
+
 def _check_restrict(f, head, index):
     got = restrict(f, head, index)
     assert got.arity == f.arity - head.bit_count()
@@ -204,8 +235,8 @@ def test_wht_matches_float64_butterfly(n, seed):
 
 @pytest.mark.parametrize("n", range(0, 13))
 def test_wht_tiles_match_float64_butterfly(n):
-    # n < 6 uses a leading block of the 64 x 64 tile; other n leave 1-6
-    # passes to the int32 butterfly.
+    # n < 6 is one pass with a leading block of the 64 x 64 matrix; n = 6 and
+    # 12 are whole 64-wide passes, and the others end with a narrower top pass.
     f = random_function(n, seed=n)
     assert wht(f).coefficients.tobytes() == _wht_oracle(f).tobytes()
 
@@ -227,6 +258,69 @@ def test_wht_of_constant_table_at_n20_reaches_the_largest_sum():
 def test_wht_of_random_table_at_n22_matches_float64_butterfly():
     f = random_function(22, seed=22, cap=22)
     assert wht(f).coefficients.tobytes() == _wht_oracle(f).tobytes()
+
+
+@pytest.mark.parametrize("variables", [0, 0b1])
+def test_wht_at_n24_matches_the_exact_spectrum(variables):
+    # The constant table's empty-set sum is 2**24, the end of the range where
+    # float32 holds every integer; the parity of variable 0 cancels to zero
+    # everywhere else.  Each coefficient is 1.0 at ``variables`` and +0.0
+    # elsewhere, checked on the bits without a 128 MiB expected array.
+    n = 24
+    values = np.ones(1 << n, dtype=np.int8)
+    if variables:
+        values[1::2] = -1
+    coeffs = wht(BooleanFunction(n, values)).coefficients
+    assert coeffs[variables] == 1.0
+    assert np.count_nonzero(coeffs.view(np.uint64)) == 1
+
+
+def test_wht_refuses_arities_where_float32_sums_round():
+    # Built without its 32 MiB of entries: the cap is checked before any work.
+    f = object.__new__(BooleanFunction)
+    object.__setattr__(f, "arity", 25)
+    object.__setattr__(f, "values", np.broadcast_to(np.int8(1), (1 << 25,)))
+    with pytest.raises(hsf.CapExceededError, match="^arity 25 exceeds cap 24$"):
+        wht(f)
+
+
+def test_wht_products_stay_under_the_blas_threading_cutoff(monkeypatch):
+    # OpenBLAS runs a product of at most 2**18 multiply-adds on one thread;
+    # each np.matmul call of the transform covers at most 2**16 entries.
+    shapes = []
+    matmul = np.matmul
+
+    def spy(a, b, out):
+        shapes.append((a.shape[-2:], b.shape[-1], out.size))
+        return matmul(a, b, out=out)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    for n in (0, 5, 7, 16, 19, 22):
+        wht(random_function(n, seed=n, cap=n))
+    assert shapes
+    for (rows, inner), cols, entries in shapes:
+        assert rows * inner * cols <= 1 << 18 and entries <= 1 << 16
+
+
+def test_wht_and_degree_weight_fill_stay_within_memory_bounds():
+    # The transform holds its float64 result and one float32 spare: 12 bytes an
+    # entry.  A second float32 buffer, or a buffer kept alive by a view into
+    # the fill, breaks the first bound; squaring the whole spectrum at once
+    # breaks the second.
+    n = 20
+    f = random_function(n, seed=n)
+    tracemalloc.start()
+    try:
+        spectrum = wht(f, with_degree_weights=True)
+        _, wht_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        _table_degree_weights(spectrum.coefficients, n)
+        _, fill_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert wht_peak <= 12 * (1 << n) + (1 << 20)
+    assert fill_peak - before <= 1 << 20
 
 
 @pytest.mark.parametrize("n", [0, 1, 3, 9, 14])
