@@ -16,6 +16,7 @@ such integer, so the sums are exact in any order.
 All operations are pure and deterministic.  Exact transforms take at most
 64 * ceil(n / 6) multiply-adds per entry and are guarded by an arity cap
 (default 20, raisable to 24 by callers that accept the memory cost).
+:func:`wht` raises CapExceededError above 24, where float32 sums would round.
 """
 
 from __future__ import annotations
@@ -36,9 +37,10 @@ MAX_ARITY_CAP = 24
 # casts and intp bins) independently of the arity.
 _CHUNK = 1 << 16
 
-# Multiply-adds per matrix product in the transform.  OpenBLAS runs products
-# up to this size on one thread; threaded ones stalled whenever another
-# process held the second core (0.5 ms became 12-16 ms at n = 16).
+# Multiply-adds per matrix product in the transform and in the degree weights
+# of its spectra.  OpenBLAS runs products up to this size on one thread;
+# threaded ones stalled whenever another process held the second core (0.5 ms
+# became 12-16 ms at n = 16).
 _MACS = 1 << 18
 
 # Sylvester's Hadamard matrix of order 64; its leading 2**k block has order 2**k.
@@ -212,19 +214,23 @@ def _hadamard_sums(values: np.ndarray, n: int) -> np.ndarray:
 
 
 def _table_degree_weights(coefficients: np.ndarray, n: int) -> np.ndarray:
-    # Degree weights of a +-1 table's spectrum, read-only.  Each row of 64
-    # squares is summed per low-six-bit popcount by one float64 product with
-    # _LOW_DEGREE, then per row popcount by one np.bincount per low degree.
-    # Every partial sum is a multiple of 4**-n of at most 1, exact in any
-    # order for n <= 26, so the bytes equal FourierSpectrum.degree_weights.
+    # Degree weights of a +-1 table's spectrum, read-only.  Each row of 2**low
+    # squares is summed per low-bit popcount by float64 products with
+    # _LOW_DEGREE of at most 2**15 squares each (under _MACS multiply-adds),
+    # then per row popcount by one np.bincount per low degree.  Every partial
+    # sum is a multiple of 4**-n of at most 1, exact in any order for n <= 26,
+    # so the bytes equal FourierSpectrum.degree_weights.
     low = min(n, 6)
     rows = coefficients.reshape(-1, 1 << low)
     indicator = _LOW_DEGREE[:1 << low, :low + 1]
     high = _bits.popcounts(n - low)
     totals = np.zeros(n + 1)
-    step = _CHUNK >> low
+    step = _CHUNK >> low  # rows per np.bincount
+    span = min(step, len(rows), (_MACS // 8) >> low)  # rows per product
     for lo in range(0, len(rows), step):
-        by_low = np.square(rows[lo:lo + step]) @ indicator
+        squares = np.square(rows[lo:lo + step]).reshape(-1, span, 1 << low)
+        by_low = np.matmul(squares, indicator).reshape(-1, low + 1)
+        del squares  # before the next chunk's squares exist
         for d in range(low + 1):
             totals[d:d + n - low + 1] += np.bincount(
                 high[lo:lo + step], weights=by_low[:, d], minlength=n - low + 1)
@@ -232,15 +238,26 @@ def _table_degree_weights(coefficients: np.ndarray, n: int) -> np.ndarray:
     return totals
 
 
-def wht(f: BooleanFunction, with_degree_weights: bool = False) -> FourierSpectrum:
+class _TableSpectrum(FourierSpectrum):
+    # The spectrum of a +-1 table, as wht returns it: its degree weights take
+    # the route exact for such spectra, still computed on first use.
+
+    @functools.cached_property
+    def degree_weights(self) -> np.ndarray:
+        return _table_degree_weights(self.coefficients, self.arity)
+
+
+def wht(f: BooleanFunction) -> FourierSpectrum:
     """Fourier coefficients of ``f`` via the fast transform.
 
     One exact float32 Kronecker pass per six bits (see the module docstring),
     the last written into the float64 result, which is then scaled by 2**-n in
     place: exact, so each coefficient equals the exact integer sum divided by
-    2**n bit for bit.  With ``with_degree_weights`` the spectrum's
-    ``degree_weights`` memo is filled too, by a route exact for +-1 tables.
-    Arities above MAX_ARITY_CAP, where float32 sums would round, are refused.
+    2**n bit for bit.  The spectrum's ``degree_weights`` take a route exact
+    for +-1 tables, with the same bytes as for any other spectrum.
+
+    Raises CapExceededError for arities above MAX_ARITY_CAP (24), where the
+    float32 sums would round.
     """
     n = check_cap("arity", f.arity, MAX_ARITY_CAP)
     coeffs = _hadamard_sums(f.values, n)
@@ -248,11 +265,9 @@ def wht(f: BooleanFunction, with_degree_weights: bool = False) -> FourierSpectru
     coeffs.setflags(write=False)
     # Nothing else references this fresh array, so FourierSpectrum's
     # defensive copy is skipped by setting the fields directly.
-    spectrum = object.__new__(FourierSpectrum)
+    spectrum = object.__new__(_TableSpectrum)
     object.__setattr__(spectrum, "arity", n)
     object.__setattr__(spectrum, "coefficients", coeffs)
-    if with_degree_weights:  # cached_property reads the instance dict first
-        object.__setattr__(spectrum, "degree_weights", _table_degree_weights(coeffs, n))
     return spectrum
 
 

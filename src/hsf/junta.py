@@ -180,12 +180,9 @@ class Instance:
 
 
 def prepare(ltf: Ltf, cap: int = DEFAULT_ARITY_CAP) -> Instance:
-    """Sorted-position truth table and spectrum of ``ltf``, for repeated extraction.
-
-    The spectrum's degree weights are filled here, by the route exact for +-1 tables.
-    """
+    """Sorted-position truth table and spectrum of ``ltf``, for repeated extraction."""
     table = canonical_table(ltf, cap=cap)
-    return Instance(ltf, table, wht(table, with_degree_weights=True))
+    return Instance(ltf, table, wht(table))
 
 
 def junta_budget(epsilon: float, delta: float, c_l: float = 1.0) -> int:

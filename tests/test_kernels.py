@@ -9,10 +9,10 @@ chunking boundary is crossed.  The transform, one float32 Kronecker pass with
 the 64 x 64 Hadamard matrix per six bits, must match the float64 butterfly
 divided by 2**n exactly up to arity 22, and the exact spectrum at arity 24,
 where its sums reach 2**24, the end of float32's exact integers.  The degree
-weights ``prepare`` fills must equal one plain bincount, and the transform and
-that fill must stay within their memory bounds.  The distance an extraction
-reads from block counts must equal, byte for byte, the distance of its junta
-lifted to the full table, in every case.  A prepared instance is built in
+weights of its spectra, by a route exact for +-1 tables, must equal one plain
+bincount, and the transform and those weights must stay within their memory
+bounds.  The distance an extraction reads from block counts must equal, byte
+for byte, the distance of its junta lifted to the full table, in every case.  A prepared instance is built in
 sorted-position order, and everything an extraction reads from it must equal,
 byte for byte, the same value read from the input-order table.
 """
@@ -50,7 +50,7 @@ from hsf import (
     wht,
 )
 from hsf._bits import popcounts
-from hsf.fncore import _butterfly, _table_degree_weights
+from hsf.fncore import _butterfly
 
 from _oracles import (
     slow_bias_profile,
@@ -156,8 +156,9 @@ def test_degree_weights_of_tables_match_single_bincount(wt):
 
 def _check_prepared_degree_weights(lt, cap):
     spectrum = prepare(lt, cap=cap).spectrum
-    assert "degree_weights" in vars(spectrum)  # filled by prepare, not on first use
+    assert "degree_weights" not in vars(spectrum)  # computed on first use
     weights = spectrum.degree_weights
+    assert spectrum.degree_weights is weights
     expected = slow_degree_weights(spectrum.coefficients, lt.n_inputs)
     assert weights.tobytes() == expected.tobytes()
     assert not weights.flags.writeable
@@ -177,6 +178,23 @@ def test_prepared_degree_weights_match_single_bincount_at_chunk_edges(n, family)
     rate = 0.9 if family == "geometric" else None
     lt = random_ltf(n, family, rate=rate, theta_law="gaussian:1", seed=n)
     _check_prepared_degree_weights(lt, n)
+
+
+def test_only_spectra_of_tables_take_the_table_route(monkeypatch):
+    # The route exact for +-1 tables serves the spectra wht returns; a spectrum
+    # built from arbitrary coefficients keeps the prefix bincount.
+    calls = []
+    table_route = hsf.fncore._table_degree_weights
+
+    def spy(coefficients, n):
+        calls.append(n)
+        return table_route(coefficients, n)
+
+    monkeypatch.setattr(hsf.fncore, "_table_degree_weights", spy)
+    spectrum = wht(random_function(7, seed=7))
+    spectrum.degree_weights
+    FourierSpectrum(7, spectrum.coefficients).degree_weights
+    assert calls == [7]
 
 
 def _check_restrict(f, head, index):
@@ -286,36 +304,38 @@ def test_wht_refuses_arities_where_float32_sums_round():
 
 def test_wht_products_stay_under_the_blas_threading_cutoff(monkeypatch):
     # OpenBLAS runs a product of at most 2**18 multiply-adds on one thread;
-    # each np.matmul call of the transform covers at most 2**16 entries.
+    # each np.matmul call of the transform and of the degree weights of its
+    # spectra covers at most 2**16 entries.
     shapes = []
     matmul = np.matmul
 
-    def spy(a, b, out):
-        shapes.append((a.shape[-2:], b.shape[-1], out.size))
-        return matmul(a, b, out=out)
+    def spy(a, b, out=None):
+        result = matmul(a, b, out=out)
+        shapes.append((a.shape[-2:], b.shape[-1], max(a.size, b.size, result.size)))
+        return result
 
     monkeypatch.setattr(np, "matmul", spy)
     for n in (0, 5, 7, 16, 19, 22):
-        wht(random_function(n, seed=n, cap=n))
+        wht(random_function(n, seed=n, cap=n)).degree_weights
     assert shapes
     for (rows, inner), cols, entries in shapes:
         assert rows * inner * cols <= 1 << 18 and entries <= 1 << 16
 
 
-def test_wht_and_degree_weight_fill_stay_within_memory_bounds():
+def test_wht_and_degree_weights_stay_within_memory_bounds():
     # The transform holds its float64 result and one float32 spare: 12 bytes an
-    # entry.  A second float32 buffer, or a buffer kept alive by a view into
-    # the fill, breaks the first bound; squaring the whole spectrum at once
-    # breaks the second.
+    # entry.  A second float32 buffer, or a buffer kept alive by a view that
+    # outlives its pass, breaks the first bound; squaring the whole spectrum
+    # at once breaks the second.
     n = 20
     f = random_function(n, seed=n)
     tracemalloc.start()
     try:
-        spectrum = wht(f, with_degree_weights=True)
+        spectrum = wht(f)
         _, wht_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
         before, _ = tracemalloc.get_traced_memory()
-        _table_degree_weights(spectrum.coefficients, n)
+        spectrum.degree_weights
         _, fill_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
