@@ -11,7 +11,6 @@ import numpy as np
 from hsf import (
     canonicalize,
     critical_index,
-    head_split,
     regular_cdf_gap,
     regularity_profile,
 )
@@ -25,10 +24,10 @@ def show(name, weights, tau):
     print(f"  weights (canonical) : {np.round(ltf.weights[:6], 4)} ...")
     print(f"  critical index at tau={tau}: {ell}")
     if ell != float("inf") and ell > 1:
-        split = head_split(ltf, int(ell) - 1)
+        tail = canonicalize(ltf.weights[int(ell) - 1:], 0.0)
         print(
             f"  head of size {int(ell) - 1} removed -> tail tau* = "
-            f"{split.tail_profile.tau_star:.4f}"
+            f"{regularity_profile(tail).tau_star:.4f}"
         )
     grid = np.linspace(-4.0, 4.0, 401)
     print(f"  sup |CDF - normal| of the linear form: {regular_cdf_gap(ltf, t_grid=grid):.4f}")

@@ -1,4 +1,4 @@
-"""Bitmask helpers shared by the truth-table modules.
+"""Bitmask, point and seed helpers shared by the truth-table modules.
 
 Convention used everywhere in this package: variables are 0-based, bit j of a
 row index corresponds to variable j, and a set bit means the variable takes the
@@ -16,6 +16,45 @@ import functools
 from collections.abc import Sequence
 
 import numpy as np
+
+from .errors import InvalidInputError
+
+
+def reals(name: str, values) -> np.ndarray:
+    """``values`` as a float64 array; InvalidInputError when an entry is not real."""
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"{name} must be an array of real numbers") from None
+
+
+def check_signs(values: np.ndarray, message: str) -> None:
+    """InvalidInputError(message) unless every entry is an int or float +1 or -1."""
+    if values.dtype.kind not in "iuf" or not np.all(np.abs(values) == 1):
+        raise InvalidInputError(message)
+
+
+def sign_points(x, width: int) -> tuple[np.ndarray, bool]:
+    """One +-1 point (1-D) or a stack of them (2-D) as 2-D rows, and whether it was one."""
+    x = np.asarray(x)
+    if x.ndim not in (1, 2):
+        raise InvalidInputError(f"points must be a 1-D point or a 2-D stack, got {x.ndim}-D")
+    rows = np.atleast_2d(x)
+    if rows.shape[1] != width:
+        raise InvalidInputError(
+            f"points have {rows.shape[1]} coordinates, the function has {width} inputs")
+    check_signs(rows, "points must have +-1 coordinates")
+    return rows, x.ndim == 1
+
+
+def rng(seed) -> np.random.Generator:
+    """``np.random.default_rng(seed)``; InvalidInputError for a seed it rejects."""
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError):
+        raise InvalidInputError(
+            f"seed must be a nonnegative int, a sequence of them, None or a Generator, "
+            f"got {seed!r}") from None
 
 
 def popcount(mask: int) -> int:

@@ -22,7 +22,6 @@ All operations are pure and deterministic.  Exact transforms take at most
 from __future__ import annotations
 
 import functools
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,23 +63,14 @@ class BooleanFunction:
                 f"table for arity {self.arity} needs {1 << self.arity} entries, "
                 f"got shape {values.shape}"
             )
-        if not np.all(np.abs(values) == 1):
-            raise InvalidInputError("table entries must be +1 or -1")
+        _bits.check_signs(values, "table entries must be +1 or -1")
         values = values.astype(np.int8)
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
     def __call__(self, x: np.ndarray) -> np.ndarray | int:
         """Evaluate at one +-1 point (1-D) or a stack of points (2-D)."""
-        x = np.asarray(x)
-        single = x.ndim == 1
-        rows = np.atleast_2d(x)
-        if rows.shape[1] != self.arity:
-            raise InvalidInputError(
-                f"points have {rows.shape[1]} coordinates, function has arity {self.arity}"
-            )
-        if not np.all(np.abs(rows) == 1):
-            raise InvalidInputError("points must have +-1 coordinates")
+        rows, single = _bits.sign_points(x, self.arity)
         bits = ((1 - rows.astype(np.int64)) // 2)
         idx = bits @ (np.int64(1) << np.arange(self.arity, dtype=np.int64))
         out = self.values[idx]
@@ -108,7 +98,7 @@ class FourierSpectrum:
     coefficients: np.ndarray
 
     def __post_init__(self) -> None:
-        coeffs = np.asarray(self.coefficients, dtype=np.float64)
+        coeffs = _bits.reals("coefficients", self.coefficients)
         if coeffs.shape != (1 << check_int("arity", self.arity, 0),):
             raise InvalidInputError(
                 f"spectrum for arity {self.arity} needs {1 << self.arity} coefficients, "
@@ -292,67 +282,10 @@ def distance(f: BooleanFunction, g: BooleanFunction) -> float:
     return float(np.count_nonzero(f.values != g.values)) / f.values.size
 
 
-def is_junta_on(f: BooleanFunction, variables: int) -> bool:
-    """True when f depends on no variable outside the bitmask ``variables``."""
-    check_int("variables", variables, 0, (1 << f.arity) - 1)
-    idx = np.arange(f.values.size)
-    for j in range(f.arity):
-        if (variables >> j) & 1:
-            continue
-        if not np.array_equal(f.values, f.values[idx ^ (1 << j)]):
-            return False
-    return True
-
-
 def random_function(arity: int, seed, cap: int = DEFAULT_ARITY_CAP) -> BooleanFunction:
     """Uniformly random +-1 table; identical seeds give identical tables."""
     arity = check_cap("arity", check_int("arity", arity, 0), cap)
-    rng = np.random.default_rng(seed)
+    rng = _bits.rng(seed)
     values = rng.integers(0, 2, size=1 << arity, dtype=np.int8) * 2 - 1
     return BooleanFunction(arity, values)
 
-
-def to_text(f: BooleanFunction) -> str:
-    """Two-line text form: ``n=<arity>`` then space-separated +1/-1 entries."""
-    entries = " ".join("+1" if v > 0 else "-1" for v in f.values)
-    return f"n={f.arity}\n{entries}\n"
-
-
-def from_text(text: str, cap: int = DEFAULT_ARITY_CAP) -> BooleanFunction:
-    """Parse the two-line text form produced by :func:`to_text`."""
-    lines = [line.strip() for line in io.StringIO(text) if line.strip()]
-    if not lines or not lines[0].startswith("n="):
-        raise InvalidInputError("first line must be 'n=<int>'")
-    try:
-        arity = int(lines[0][2:])
-    except ValueError:
-        raise InvalidInputError(f"malformed arity line {lines[0]!r}") from None
-    check_cap("arity", check_int("arity", arity, 0), cap)
-    if len(lines) != 2:
-        raise InvalidInputError(f"expected one entry line after the header, got {len(lines) - 1}")
-    tokens = lines[1].split()
-    if len(tokens) != (1 << arity):
-        raise InvalidInputError(
-            f"expected {1 << arity} entries for n={arity}, got {len(tokens)}"
-        )
-    table = np.empty(1 << arity, dtype=np.int8)
-    for i, tok in enumerate(tokens):
-        if tok == "+1":
-            table[i] = 1
-        elif tok == "-1":
-            table[i] = -1
-        else:
-            raise InvalidInputError(f"entry {i} is {tok!r}, must be +1 or -1")
-    return BooleanFunction(arity, table)
-
-
-def save_table(f: BooleanFunction, path) -> None:
-    """Write the text form of ``f`` to a file."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(to_text(f))
-
-
-def load_table(path, cap: int = DEFAULT_ARITY_CAP) -> BooleanFunction:
-    """Read a function from the text form written by :func:`save_table`."""
-    with open(path, "r", encoding="ascii") as fh:
-        return from_text(fh.read(), cap=cap)

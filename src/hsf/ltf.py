@@ -5,11 +5,11 @@ form drops exactly-zero weights (recording their coordinates), scales the rest
 and the threshold by the inverse l2 norm, and sorts by decreasing magnitude
 with ties broken by original coordinate.  Canonicalizing twice is the identity.
 
-Sorted positions are 1-based in user-facing maps and indices (critical index,
-head/tail splits); arrays underneath are 0-based as usual.  All evaluation
-paths accumulate the linear form left to right over sorted positions, so the
-dense truth table and pointwise evaluation agree bit for bit.  The dense table
-is built by doubling over sorted positions: after position p the array holds
+Sorted positions are 1-based in user-facing indices (critical index, head
+sizes); arrays underneath are 0-based as usual.  All evaluation paths
+accumulate the linear form left to right over sorted positions, so the dense
+truth table and pointwise evaluation agree bit for bit.  The dense table is
+built by doubling over sorted positions: after position p the array holds
 every partial sum over positions 0..p, each reached by that same left-to-right
 sequence of additions; :func:`truth_table` transposes it to input bit order.
 """
@@ -60,15 +60,7 @@ class Ltf:
 
     def __call__(self, x: np.ndarray) -> np.ndarray | int:
         """Evaluate at one +-1 point (1-D) or a stack of points (2-D)."""
-        x = np.asarray(x)
-        single = x.ndim == 1
-        rows = np.atleast_2d(x)
-        if rows.shape[1] != self.n_inputs:
-            raise InvalidInputError(
-                f"points have {rows.shape[1]} coordinates, function has {self.n_inputs} inputs"
-            )
-        if not np.all(np.abs(rows) == 1):
-            raise InvalidInputError("points must have +-1 coordinates")
+        rows, single = _bits.sign_points(x, self.n_inputs)
         out = np.where(linear_form(self, rows) - self.theta >= 0.0, 1, -1).astype(np.int8)
         return int(out[0]) if single else out
 
@@ -90,27 +82,19 @@ class RegularityProfile:
         object.__setattr__(self, "tail_norms", t)
 
 
-@dataclass(frozen=True)
-class HeadSplit:
-    """First ``len(head)`` sorted coordinates versus the rest.
-
-    Maps are keyed by 1-based sorted position and hold canonical weights; the
-    tail profile is computed on the renormalized tail (None for empty tails).
-    """
-
-    head: dict[int, float]
-    tail: dict[int, float]
-    tail_profile: RegularityProfile | None
-
-
-def canonicalize(weights, theta: float) -> Ltf:
-    """Canonical form of sign(w . x - theta); see the module docstring."""
-    w = np.asarray(weights, dtype=np.float64)
+def _finite(weights, theta) -> tuple[np.ndarray, float]:
+    # A nonempty 1-D float64 weight vector and a float theta, all finite.
+    w = _bits.reals("weights", weights)
     if w.ndim != 1 or w.size == 0:
         raise InvalidInputError("weights must be a nonempty 1-D array")
     if not np.all(np.isfinite(w)):
         raise InvalidInputError("weights must be finite")
-    theta = check_range("theta", theta, -math.inf, math.inf, open_lo=True, open_hi=True)
+    return w, check_range("theta", theta, -math.inf, math.inf, open_lo=True, open_hi=True)
+
+
+def canonicalize(weights, theta: float) -> Ltf:
+    """Canonical form of sign(w . x - theta); see the module docstring."""
+    w, theta = _finite(weights, theta)
     nonzero = np.flatnonzero(w != 0.0)
     if nonzero.size == 0:
         raise DegenerateLtfError("all weights are zero")
@@ -141,6 +125,9 @@ def canonicalize(weights, theta: float) -> Ltf:
 def linear_form(ltf: Ltf, x: np.ndarray) -> np.ndarray:
     """w . x for a (rows, n_inputs) array, in canonical accumulation order."""
     rows = np.atleast_2d(np.asarray(x))
+    if rows.ndim != 2 or rows.shape[1] != ltf.n_inputs:
+        raise InvalidInputError(
+            f"points must be a (rows, {ltf.n_inputs}) array, got shape {np.shape(x)}")
     acc = np.zeros(rows.shape[0])
     for p in range(ltf.weights.size):
         acc += ltf.weights[p] * rows[:, ltf.original_index[p]]
@@ -170,11 +157,6 @@ def canonical_table(ltf: Ltf, cap: int = DEFAULT_ARITY_CAP) -> BooleanFunction:
     return BooleanFunction(ltf.n_inputs, signs)
 
 
-def linear_form_table(ltf: Ltf, cap: int = DEFAULT_ARITY_CAP) -> np.ndarray:
-    """w . x at every row of the cube, same accumulation order as truth_table."""
-    return _bits.spread_table(canonical_linear_form(ltf, cap), ltf.original_index, ltf.n_inputs)
-
-
 def canonical_linear_form(ltf: Ltf, cap: int = DEFAULT_ARITY_CAP) -> np.ndarray:
     """w . x over the active coordinates, indexed by sorted position.
 
@@ -194,15 +176,11 @@ def canonical_linear_form(ltf: Ltf, cap: int = DEFAULT_ARITY_CAP) -> np.ndarray:
     return acc
 
 
-def _profile_from_sorted(w: np.ndarray) -> RegularityProfile:
-    sq = w * w
-    tail = np.sqrt(np.cumsum(sq[::-1])[::-1])
-    return RegularityProfile(tail_norms=tail, tau_star=float(np.abs(w[0]) / tail[0]))
-
-
 def regularity_profile(ltf: Ltf) -> RegularityProfile:
     """Tail norms and tau* of the canonical weight vector."""
-    return _profile_from_sorted(ltf.weights)
+    w = ltf.weights
+    tail = np.sqrt(np.cumsum((w * w)[::-1])[::-1])
+    return RegularityProfile(tail_norms=tail, tau_star=float(np.abs(w[0]) / tail[0]))
 
 
 def critical_index(ltf: Ltf, tau: float) -> int | float:
@@ -227,19 +205,6 @@ def head_mask(ltf: Ltf, size: int) -> int:
     for coord in ltf.original_index[:size]:
         mask |= 1 << int(coord)
     return mask
-
-
-def head_split(ltf: Ltf, ell: int) -> HeadSplit:
-    """Split sorted positions into head 1..ell and tail ell+1..n_active."""
-    m = ltf.weights.size
-    check_int("ell", ell, 1, m)
-    head = {p + 1: float(ltf.weights[p]) for p in range(ell)}
-    tail = {p + 1: float(ltf.weights[p]) for p in range(ell, m)}
-    tail_profile = None
-    if ell < m:
-        tw = ltf.weights[ell:]
-        tail_profile = _profile_from_sorted(tw / np.linalg.norm(tw))
-    return HeadSplit(head=head, tail=tail, tail_profile=tail_profile)
 
 
 _FAMILY_ALIASES = {
@@ -295,7 +260,7 @@ def random_ltf(
     elif rate is not None:
         raise InvalidInputError(f"family {family!r} takes no rate")
     law_kind, law_value = parse_theta_law(theta_law)
-    rng = np.random.default_rng(seed)
+    rng = _bits.rng(seed)
     if kind == "equal":
         weights = np.ones(n)
     elif kind == "gaussian":
@@ -314,9 +279,12 @@ def random_ltf(
 
 
 def save_ltf_file(path, weights, theta: float) -> None:
-    """Write a weights/theta document readable by :func:`load_ltf_file`."""
-    doc = {"weights": [float(v) for v in np.asarray(weights, dtype=np.float64)],
-           "theta": float(theta)}
+    """Write a weights/theta document readable by :func:`load_ltf_file`.
+
+    Weights and theta must be finite: JSON has no NaN or infinity.
+    """
+    weights, theta = _finite(weights, theta)
+    doc = {"weights": [float(v) for v in weights], "theta": theta}
     with open(path, "w", encoding="ascii") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")

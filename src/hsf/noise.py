@@ -88,7 +88,7 @@ def _mc_chunks(samples: int, seed):
     # each chunk's arrays until the next draw replaces them, so the allocator
     # reuses their pages; a per-chunk callback would free them first and
     # fault the pages in again on every chunk.
-    rng = np.random.default_rng(seed)
+    rng = _bits.rng(seed)
     for done in range(0, samples, _MC_CHUNK):
         yield rng, min(_MC_CHUNK, samples - done)
 
@@ -101,14 +101,6 @@ def _flipped_pair(rng, m: int, n: int, epsilon: float) -> tuple[np.ndarray, np.n
     for rows in np.split(flips, range(_FLIP_ROWS, m, _FLIP_ROWS)):
         np.less(rng.random(size=rows.shape), epsilon, out=rows)
     return x, np.where(flips, -x, x)
-
-
-def degree_weights(spectrum: FourierSpectrum) -> np.ndarray:
-    """Squared coefficient mass per degree: entry d sums over |S| = d.
-
-    A writable copy of the spectrum's memoized degree weights.
-    """
-    return spectrum.degree_weights.copy()
 
 
 def ns_exact(spectrum: FourierSpectrum, epsilon: float) -> float:

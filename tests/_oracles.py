@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the fast code paths it is used to check:
 the spectrum oracle is the quadratic-time inner-product definition, majority
-tables come straight from popcounts, and the tail-ratio references go through
+tables come straight from popcounts, the support of a table is read by
+flipping one variable at a time, and the tail-ratio references go through
 mpmath at high precision.  The per-instance kernels (Walsh-Hadamard butterfly,
 linear-form table, popcounts, degree weights, restriction, junta embedding,
 bias profiles)
@@ -43,6 +44,13 @@ def slow_butterfly(table: np.ndarray) -> np.ndarray:
         a[:, h:] = left - a[:, h:]
         h *= 2
     return a.reshape(-1)
+
+
+def is_junta_on(f, variables: int) -> bool:
+    """True when f's table is unchanged by flipping any variable outside ``variables``."""
+    idx = np.arange(f.values.size)
+    return all(np.array_equal(f.values, f.values[idx ^ (1 << j)])
+               for j in range(f.arity) if not (variables >> j) & 1)
 
 
 def majority_values(n: int) -> np.ndarray:

@@ -1,5 +1,6 @@
-"""The shared argument, range and cap checks, and junk scalars at every entry point."""
+"""The shared argument, range and cap checks, and junk arguments at every entry point."""
 
+import os
 import pathlib
 
 import numpy as np
@@ -13,19 +14,23 @@ from hsf import (
     InvalidInputError,
     TheoremConfig,
     bivariate_rectangle,
+    boolean_pair_quadrant_mc,
     canonicalize,
     embed_junta,
     extract_junta,
     from_values,
     gaussian_ns_bound,
+    gaussian_ns_mc,
     hoeffding_radius,
-    is_junta_on,
+    linear_form,
     ns_aggregation_check,
     ns_exact,
+    ns_mc,
     prepare,
     random_function,
     random_ltf,
     regular_cdf_gap,
+    save_ltf_file,
     wht,
 )
 from hsf.errors import check_cap, check_int, check_range
@@ -35,9 +40,9 @@ _LT = canonicalize([3.0, 1.0, 1.0], 0.2)
 _AGG = ns_aggregation_check(random_function(4, seed=0), 0b11, 0.1)
 
 # Scalar arguments that are not numbers, not ints, negative arities, or ints
-# too large for the float arithmetic that follows.
+# too large for the float arithmetic that follows; seeds numpy rejects; points,
+# tables and weights of the wrong shape or type; weights JSON cannot hold.
 _JUNK_CALLS = {
-    "is_junta_on-float-mask": lambda: is_junta_on(_F, 1.5),
     "extract_junta-str-eps": lambda: extract_junta(_LT, "x", 0.5),
     "extract_junta-none-eps": lambda: extract_junta(_LT, None, 0.5),
     "random_ltf-str-rate": lambda: random_ltf(4, "geometric", rate="x"),
@@ -55,6 +60,24 @@ _JUNK_CALLS = {
     "regular_cdf_gap-str-cap": lambda: regular_cdf_gap(_LT, cap="x"),
     "from_values-none-cap": lambda: from_values(1, [1, -1], cap=None),
     "prepare-float-cap": lambda: prepare(_LT, cap=1.5),
+    "BooleanFunction-call-3d-points": lambda: _F(np.ones((1, 2, 2))),
+    "BooleanFunction-call-str-points": lambda: _F(np.array(["1", "1"])),
+    "Ltf-call-3d-points": lambda: _LT(np.ones((1, 3, 3))),
+    "Ltf-call-str-points": lambda: _LT(["a", "b", "c"]),
+    "linear_form-too-few-columns": lambda: linear_form(_LT, np.ones((2, 2))),
+    "random_function-negative-seed": lambda: random_function(2, seed=-1),
+    "random_ltf-float-seed": lambda: random_ltf(4, "gaussian", seed=1.5),
+    "ns_mc-negative-seed": lambda: ns_mc(_F, 0.1, 10, seed=-1),
+    "gaussian_ns_mc-float-seed": lambda: gaussian_ns_mc(0.0, 0.5, 10, seed=1.5),
+    "boolean_pair_quadrant_mc-negative-seed":
+        lambda: boolean_pair_quadrant_mc(_LT, (0, 1), (0, 1), 0.1, 10, seed=-1),
+    "canonicalize-str-weights": lambda: canonicalize(["a"], 0),
+    "canonicalize-complex-weights": lambda: canonicalize([1j], 0),
+    "BooleanFunction-str-values": lambda: BooleanFunction(1, ["a", "b"]),
+    "BooleanFunction-none-value": lambda: BooleanFunction(1, [1, None]),
+    "FourierSpectrum-str-coefficients": lambda: FourierSpectrum(1, ["a", "b"]),
+    "save_ltf_file-nan-weight": lambda: save_ltf_file(os.devnull, [1.0, np.nan], 0.0),
+    "save_ltf_file-inf-theta": lambda: save_ltf_file(os.devnull, [1.0], np.inf),
 }
 
 

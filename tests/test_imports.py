@@ -3,10 +3,12 @@
 Each case runs in a fresh interpreter, so modules imported by other tests
 cannot leak in.  The `checks` case guards against a vacuous pass: if scipy
 were never importable from the package at all, the first case would pass
-for the wrong reason.  The last case checks that every name in ``hsf.__all__``
-still exists, so a deleted function cannot leave a stale export behind.
+for the wrong reason.  The last cases check that every name in ``hsf.__all__``
+still exists, so a deleted function cannot leave a stale export behind, and
+that each one has a caller, so no function lives only to be exported.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -82,3 +84,53 @@ def test_every_exported_name_resolves():
     namespace: dict = {}
     exec("from hsf import *", namespace)
     assert set(hsf.__all__) <= set(namespace)
+
+
+# Exports with no caller in the package, the command or a demo, and why each stays.
+_UNCALLED_EXPORTS = {
+    "distance": "the table-against-table oracle of the distances extractions report",
+    "embed_junta": "lifts a junta to the full table for that oracle",
+    "head_projection": "acceptance criterion 10 checks extractions against it",
+    "from_values": "the constructor of a table from explicit values",
+    "save_ltf_file": "writes the weight files the command reads",
+}
+
+
+def _references(path: Path) -> dict[str | None, set[str]]:
+    # Names each top-level function or class of a file uses, keyed by its name,
+    # and those the rest of the file uses, keyed by None: loaded names, and
+    # attributes read off the modules it imports.
+    tree = ast.parse(path.read_text())
+    modules = {alias.asname or alias.name.split(".")[0]
+               for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+               for alias in node.names
+               if isinstance(node, ast.Import) or node.module in (None, "hsf")}
+    found: dict[str | None, set[str]] = {}
+    for node in tree.body:
+        key = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else None
+        refs = found.setdefault(key, set())
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                refs.add(sub.id)
+            elif (isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
+                  and sub.value.id in modules):
+                refs.add(sub.attr)
+    return found
+
+
+def test_every_exported_name_has_a_caller():
+    import hsf
+
+    package = ROOT / "src" / "hsf"
+    sources = {p.stem: _references(p) for p in package.glob("*.py") if p.name != "__init__.py"}
+    demos = set().union(*(refs for p in (ROOT / "demos").glob("*.py")
+                          for refs in _references(p).values()))
+    uncalled = []
+    for name in hsf.__all__:
+        home = getattr(getattr(hsf, name), "__module__", "").rpartition(".")[2]
+        used = demos.union(*(refs for stem, by_def in sources.items()
+                             for key, refs in by_def.items() if (stem, key) != (home, name)))
+        if name not in used and name not in _UNCALLED_EXPORTS:
+            uncalled.append(name)
+    assert uncalled == []
+    assert not set(_UNCALLED_EXPORTS) - set(hsf.__all__)

@@ -19,7 +19,6 @@ from hsf import (
     extract_junta,
     from_values,
     head_projection,
-    is_junta_on,
     junta_budget,
     premise_bound,
     random_function,
@@ -27,6 +26,8 @@ from hsf import (
     truth_table,
 )
 from hsf.fncore import MAX_ARITY_CAP
+
+from _oracles import is_junta_on
 
 EPS = 0.25
 WIDE_DELTA = 0.62  # small enough premise, large enough to dodge the small-delta guard

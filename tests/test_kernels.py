@@ -31,13 +31,12 @@ from hsf import (
     JuntaCase,
     TheoremConfig,
     bias_profile,
+    canonical_linear_form,
     canonicalize,
-    degree_weights,
     distance,
     embed_junta,
     extract_junta,
     head_mask,
-    linear_form_table,
     ns_exact,
     prepare,
     random_function,
@@ -103,8 +102,9 @@ def weights_and_theta(draw, max_n=MAX_N):
 @example(_WIDE)
 def test_linear_form_table_matches_blockwise_loop(wt):
     lt = canonicalize(*wt)
-    slow = slow_linear_form_table(lt.weights, lt.original_index, lt.n_inputs)
-    assert linear_form_table(lt, cap=MAX_N).tobytes() == slow.tobytes()
+    m = lt.n_active
+    slow = slow_linear_form_table(lt.weights, np.arange(m), m)
+    assert canonical_linear_form(lt, cap=MAX_N).tobytes() == slow.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -141,7 +141,6 @@ def test_degree_weights_match_single_bincount(n, seed):
     expected = slow_degree_weights(coeffs, n)
     spectrum = FourierSpectrum(n, coeffs)
     assert spectrum.degree_weights.tobytes() == expected.tobytes()
-    assert degree_weights(spectrum).tobytes() == expected.tobytes()
 
 
 @settings(max_examples=20, deadline=None)
@@ -370,13 +369,14 @@ class TestAliasing:
         assert spectrum.coefficients[0] == 0.5
         assert not np.shares_memory(arr, spectrum.coefficients)
 
-    def test_mutating_degree_weights_leaves_ns_alone(self):
-        spectrum = wht(random_function(7, seed=2))
-        before = ns_exact(spectrum, 0.1)
-        weights = degree_weights(spectrum)
-        weights[:] = 0.0
-        assert ns_exact(spectrum, 0.1) == before
-        assert degree_weights(spectrum).tobytes() == spectrum.degree_weights.tobytes()
+    def test_degree_weights_memo_is_read_only(self):
+        # Both routes: the spectrum of a table and one of arbitrary coefficients.
+        for spectrum in (wht(random_function(7, seed=2)),
+                         FourierSpectrum(2, [0.5, 0.5, 0.5, -0.5])):
+            before = ns_exact(spectrum, 0.1)
+            with pytest.raises(ValueError):
+                spectrum.degree_weights[:] = 0.0
+            assert ns_exact(spectrum, 0.1) == before
 
     def test_spectrum_copies_read_only_view_of_writable_base(self):
         base = np.array([1.0, 0.0, 0.0, 0.0])
@@ -514,20 +514,15 @@ def test_instances_never_build_input_order_tables(monkeypatch):
         raise AssertionError("an instance reached an input-order 2^n table")
 
     monkeypatch.setattr(hsf.ltf, "truth_table", refuse)
-    monkeypatch.setattr(hsf.ltf, "linear_form_table", refuse)
     assert not hasattr(hsf.junta, "truth_table")
     for case, lt, eps, delta, c_l, _ in _CASE_INPUTS:
         report = extract_junta(prepare(lt), eps, delta, TheoremConfig(c_l=c_l))
         assert str(report.case) == case
 
 
-def test_cdf_gap_never_builds_the_input_order_linear_form(monkeypatch):
+def test_cdf_gap_never_builds_the_input_order_linear_form():
     # The gap depends only on the multiset of w . x values, which dropped
     # coordinates repeat evenly, so the sorted-position form is enough.
-    def refuse(*args, **kwargs):
-        raise AssertionError("regular_cdf_gap reached the input-order linear form")
-
-    monkeypatch.setattr(hsf.ltf, "linear_form_table", refuse)
     grid = np.linspace(-3, 3, 61)
     active = canonicalize([3.0, 1.0, 2.0, 1.0, 0.5], 0.25)
     dropped = canonicalize([0.0, 3.0, 1.0, 0.0, 2.0, 1.0, 0.5], 0.25)

@@ -11,12 +11,11 @@ from hsf import (
     INFINITE_INDEX,
     InvalidInputError,
     CapExceededError,
+    canonical_linear_form,
     canonicalize,
     critical_index,
     head_mask,
-    head_split,
     linear_form,
-    linear_form_table,
     load_ltf_file,
     parse_theta_law,
     random_ltf,
@@ -155,10 +154,11 @@ class TestEvaluation:
 
     def test_linear_form_table_matches_rows(self):
         lt = canonicalize([3.0, -1.0, 2.0], 0.5)
-        table = linear_form_table(lt)
-        for row in range(8):
-            x = point_of_row(3, row).astype(np.float64)
-            assert table[row] == pytest.approx(linear_form(lt, x)[0], abs=0)
+        table = canonical_linear_form(lt)
+        for row in range(8):  # row bit p is the coordinate at sorted position p
+            x = np.empty(3)
+            x[lt.original_index] = point_of_row(3, row)
+            assert table[row] == linear_form(lt, x)[0]
 
 
 class TestRegularity:
@@ -210,24 +210,6 @@ class TestRegularity:
         lt = canonicalize([1.0, 3.0, 0.0, 2.0], 0.0)
         with pytest.raises(InvalidInputError, match="size"):
             head_mask(lt, size)
-
-    def test_head_split_frozen(self):
-        split = head_split(self.LT, 2)
-        assert sorted(split.head) == [1, 2]
-        assert sorted(split.tail) == [3, 4, 5, 6]
-        assert split.head[1] == pytest.approx(0.8164965809277261, abs=1e-15)
-        # The renormalized tail is four equal weights.
-        assert split.tail_profile.tau_star == pytest.approx(0.5, abs=1e-15)
-
-    def test_head_split_full_head_has_no_tail(self):
-        split = head_split(self.LT, 6)
-        assert split.tail == {}
-        assert split.tail_profile is None
-
-    def test_head_split_validates_ell(self):
-        for ell in (0, 7, 1.5, True):
-            with pytest.raises(InvalidInputError):
-                head_split(self.LT, ell)
 
 
 class TestThetaLawAndFamilies:

@@ -13,7 +13,6 @@ from hsf import (
     boolean_pair_quadrant_mc,
     canonicalize,
     constant_bound_check,
-    degree_weights,
     from_values,
     gaussian_cdf,
     gaussian_disagreement,
@@ -57,12 +56,12 @@ class TestParams:
 class TestNoiseSensitivityRoutes:
     def test_degree_weights_frozen(self):
         np.testing.assert_allclose(
-            degree_weights(MAJ3_SPECTRUM), [0.0, 0.75, 0.0, 0.25], atol=1e-15
+            MAJ3_SPECTRUM.degree_weights, [0.0, 0.75, 0.0, 0.25], atol=1e-15
         )
 
     def test_degree_weights_of_parity(self):
         spec = wht(from_values(4, parity_values(4, 0b1011)))
-        np.testing.assert_allclose(degree_weights(spec), [0, 0, 0, 1, 0], atol=1e-15)
+        np.testing.assert_allclose(spec.degree_weights, [0, 0, 0, 1, 0], atol=1e-15)
 
     def test_majority3_frozen_value(self):
         assert ns_exact(MAJ3_SPECTRUM, 0.1) == pytest.approx(0.136, abs=1e-12)

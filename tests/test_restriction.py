@@ -12,7 +12,6 @@ from hsf import (
     bias_profile,
     embed_junta,
     from_values,
-    is_junta_on,
     mean,
     ns_aggregation_check,
     ns_exact,
@@ -22,7 +21,7 @@ from hsf import (
     wht,
 )
 
-from _oracles import parity_values, point_of_row
+from _oracles import is_junta_on, parity_values, point_of_row
 
 
 def _full_point(n, head, values, sub_row):
