@@ -12,156 +12,50 @@ The package is organized bottom-up:
 - :mod:`hsf.junta`: the junta extraction engine and its verdicts;
 - :mod:`hsf.cli`: the ``hsf`` command with analyze / junta / sweep /
   gaussian / checks subcommands.
+
+``import hsf`` loads no submodule and so no numpy: each exported name is
+imported from its submodule on first access (PEP 562).  That lets the
+command choose numpy's BLAS threading before numpy loads.
 """
 
-from .errors import (
-    CapExceededError,
-    DegenerateLtfError,
-    HsfError,
-    InvalidInputError,
-)
-from .fncore import (
-    BooleanFunction,
-    FourierSpectrum,
-    distance,
-    from_values,
-    mean,
-    random_function,
-    synthesize,
-    wht,
-)
-from .junta import (
-    Diagnostics,
-    HeadProjection,
-    Instance,
-    JuntaCase,
-    JuntaReport,
-    TheoremConfig,
-    Verdict,
-    extract_junta,
-    head_projection,
-    junta_budget,
-    premise_bound,
-    prepare,
-    theorem_verify,
-)
-from .ltf import (
-    INFINITE_INDEX,
-    Ltf,
-    RegularityProfile,
-    canonical_linear_form,
-    canonical_table,
-    canonicalize,
-    critical_index,
-    head_mask,
-    linear_form,
-    load_ltf_file,
-    parse_theta_law,
-    random_ltf,
-    regularity_profile,
-    save_ltf_file,
-    truth_table,
-)
-from .noise import (
-    ConstantBoundCheck,
-    McEstimate,
-    QuadrantComparison,
-    TailRatioBand,
-    bivariate_rectangle,
-    boolean_pair_quadrant_mc,
-    constant_bound_check,
-    gaussian_cdf,
-    gaussian_disagreement,
-    gaussian_ns_bound,
-    gaussian_ns_mc,
-    gaussian_tail,
-    hoeffding_radius,
-    ns_bruteforce,
-    ns_exact,
-    ns_mc,
-    regular_cdf_gap,
-    tail_ratio,
-    tail_ratio_check,
-)
-from .restriction import (
-    NsAggregation,
-    RestrictionEnergy,
-    ThresholdCorollary,
-    bias_profile,
-    embed_junta,
-    ns_aggregation_check,
-    restrict,
-    restriction_energy_identity,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BooleanFunction",
-    "CapExceededError",
-    "ConstantBoundCheck",
-    "DegenerateLtfError",
-    "Diagnostics",
-    "FourierSpectrum",
-    "HeadProjection",
-    "HsfError",
-    "INFINITE_INDEX",
-    "Instance",
-    "InvalidInputError",
-    "JuntaCase",
-    "JuntaReport",
-    "Ltf",
-    "McEstimate",
-    "NsAggregation",
-    "QuadrantComparison",
-    "RegularityProfile",
-    "RestrictionEnergy",
-    "TailRatioBand",
-    "TheoremConfig",
-    "ThresholdCorollary",
-    "Verdict",
-    "bias_profile",
-    "bivariate_rectangle",
-    "boolean_pair_quadrant_mc",
-    "canonical_linear_form",
-    "canonical_table",
-    "canonicalize",
-    "constant_bound_check",
-    "critical_index",
-    "distance",
-    "embed_junta",
-    "extract_junta",
-    "from_values",
-    "gaussian_cdf",
-    "gaussian_disagreement",
-    "gaussian_ns_bound",
-    "gaussian_ns_mc",
-    "gaussian_tail",
-    "head_mask",
-    "head_projection",
-    "hoeffding_radius",
-    "junta_budget",
-    "linear_form",
-    "load_ltf_file",
-    "mean",
-    "ns_aggregation_check",
-    "ns_bruteforce",
-    "ns_exact",
-    "ns_mc",
-    "parse_theta_law",
-    "premise_bound",
-    "prepare",
-    "random_function",
-    "random_ltf",
-    "regular_cdf_gap",
-    "regularity_profile",
-    "restrict",
-    "restriction_energy_identity",
-    "save_ltf_file",
-    "synthesize",
-    "tail_ratio",
-    "tail_ratio_check",
-    "theorem_verify",
-    "truth_table",
-    "wht",
-]
+# Each exported name and the submodule that defines it.
+_HOME = {
+    name: module
+    for module, names in {
+        "errors": "CapExceededError DegenerateLtfError HsfError InvalidInputError",
+        "fncore": "BooleanFunction FourierSpectrum distance from_values mean "
+        "random_function synthesize wht",
+        "junta": "Diagnostics HeadProjection Instance JuntaCase JuntaReport TheoremConfig "
+        "Verdict extract_junta head_projection junta_budget premise_bound prepare "
+        "theorem_verify",
+        "ltf": "INFINITE_INDEX Ltf RegularityProfile canonical_linear_form canonical_table "
+        "canonicalize critical_index head_mask linear_form load_ltf_file parse_theta_law "
+        "random_ltf regularity_profile save_ltf_file truth_table",
+        "noise": "ConstantBoundCheck McEstimate QuadrantComparison TailRatioBand "
+        "bivariate_rectangle boolean_pair_quadrant_mc constant_bound_check gaussian_cdf "
+        "gaussian_disagreement gaussian_ns_bound gaussian_ns_mc gaussian_tail "
+        "hoeffding_radius ns_bruteforce ns_exact ns_mc regular_cdf_gap tail_ratio "
+        "tail_ratio_check",
+        "restriction": "NsAggregation RestrictionEnergy ThresholdCorollary bias_profile "
+        "embed_junta ns_aggregation_check restrict restriction_energy_identity",
+    }.items()
+    for name in names.split()
+}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value  # later reads skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

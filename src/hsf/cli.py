@@ -22,6 +22,11 @@ import math
 import os
 import sys
 
+# hsf's BLAS products are small enough that OpenBLAS runs them on one thread,
+# so a short call would only pay for starting the pool.  A value the user set
+# wins.  This has to run before numpy loads, so the numeric imports follow it.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from . import __version__, _bits

@@ -216,6 +216,10 @@ def _signs(values: np.ndarray) -> BooleanFunction:
     return BooleanFunction(values.size.bit_length() - 1, signs)
 
 
+# The constant routes' juntas, shared: their tables are read-only.
+_PLUS, _MINUS = BooleanFunction(0, [1]), BooleanFunction(0, [-1])
+
+
 def head_projection(f: BooleanFunction, head: int, delta: float) -> HeadProjection:
     """Overwrite unbiased head blocks with +1, project onto the head, take signs.
 
@@ -291,7 +295,7 @@ def extract_junta(
         case = JuntaCase.SMALL_DELTA if small_delta else JuntaCase.CONSTANT
         junta_set = 0
         biases = spectrum.coefficients[:1]  # E[f]: the one block of the empty head
-        approx = _signs(biases)
+        approx = _PLUS if biases[0] >= 0.0 else _MINUS
         guarantee = delta
     elif ell <= budget:
         head_size = int(ell)

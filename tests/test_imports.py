@@ -1,11 +1,15 @@
-"""scipy is loaded only by the commands that compute Gaussian CDFs.
+"""Which heavy modules load, and when.
 
 Each case runs in a fresh interpreter, so modules imported by other tests
-cannot leak in.  The `checks` case guards against a vacuous pass: if scipy
-were never importable from the package at all, the first case would pass
-for the wrong reason.  The last cases check that every name in ``hsf.__all__``
-still exists, so a deleted function cannot leave a stale export behind, and
-that each one has a caller, so no function lives only to be exported.
+cannot leak in.  scipy is loaded only by the commands that compute Gaussian
+CDFs; the `checks` case guards against a vacuous pass: if scipy were never
+importable from the package at all, the first case would pass for the wrong
+reason.  ``import hsf`` loads no numpy, and the command sets
+``OPENBLAS_NUM_THREADS`` to 1 before numpy loads unless the caller set it.
+The package resolves its exports lazily, so the last cases check that every
+name in ``hsf.__all__`` still exists, that an unknown name is an
+``AttributeError``, and that each export has a caller, so no function lives
+only to be exported.
 """
 
 import ast
@@ -14,6 +18,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -48,8 +54,43 @@ print(json.dumps({"scipy": sorted(m for m in sys.modules if m.split(".")[0] == "
 """
 
 
-def _run(script: str, tmp_path) -> dict:
-    env = dict(os.environ)
+# Runs STATEMENT and records OPENBLAS_NUM_THREADS as numpy starts to load.
+_BLAS_SPY_SCRIPT = """
+import json, os, runpy, sys
+
+class Spy:
+    seen = []
+
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not self.seen:
+            self.seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+
+sys.meta_path.insert(0, Spy())
+sys.argv = ["hsf", "--version"]
+try:
+    STATEMENT
+except SystemExit:
+    pass
+print(json.dumps({"numpy": "numpy" in sys.modules, "at_numpy": Spy.seen,
+                  "after": os.environ.get("OPENBLAS_NUM_THREADS")}))
+"""
+
+
+# In a fresh interpreter no submodule is loaded before the `from` import.
+_SUBMODULE_SCRIPT = """
+import json, sys
+from hsf import _bits, fncore
+import hsf
+
+print(json.dumps({"bits": _bits is sys.modules["hsf._bits"], "wht": fncore.wht is hsf.wht}))
+"""
+
+
+def _run(script: str, tmp_path, blas_threads: str | None = None) -> dict:
+    # The variable is dropped: this process may have imported hsf.cli already.
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
@@ -74,6 +115,37 @@ def test_checks_loads_scipy(tmp_path):
     assert "scipy.special" in result["scipy"]
     assert "scipy.integrate" in result["scipy"]
     assert (tmp_path / "checks.csv").stat().st_size > 0
+
+
+@pytest.mark.parametrize("statement, preset, expected", [
+    ("import hsf.cli", None, "1"),
+    ("import hsf.cli", "2", "2"),
+    # The path of `python -m hsf.cli --version`.
+    ("runpy.run_module('hsf.cli', run_name='__main__')", None, "1"),
+])
+def test_cli_sets_one_blas_thread_before_numpy_loads(tmp_path, statement, preset, expected):
+    result = _run(_BLAS_SPY_SCRIPT.replace("STATEMENT", statement), tmp_path, preset)
+    assert result["numpy"]
+    assert result["at_numpy"] == [expected]
+
+
+def test_import_hsf_loads_no_numpy_and_leaves_blas_threads_alone(tmp_path):
+    result = _run(_BLAS_SPY_SCRIPT.replace("STATEMENT", "import hsf"), tmp_path)
+    assert result == {"numpy": False, "at_numpy": [], "after": None}
+
+
+def test_lazy_package_lists_its_exports_and_rejects_unknown_names():
+    import hsf
+
+    assert set(hsf.__all__) <= set(dir(hsf))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        hsf.no_such_name
+    assert not hasattr(hsf, "no_such_name")
+
+
+def test_submodule_imports_resolve_through_the_lazy_package(tmp_path):
+    result = _run(_SUBMODULE_SCRIPT, tmp_path)
+    assert result == {"bits": True, "wht": True}
 
 
 def test_every_exported_name_resolves():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hsf import (
+    BooleanFunction,
     CapExceededError,
     INFINITE_INDEX,
     InvalidInputError,
@@ -168,6 +169,19 @@ class TestCaseRouting:
         assert d.guarantee_bound == WIDE_DELTA
         verdict = theorem_verify(report)
         assert verdict.passed and not verdict.vacuous and verdict.label == "pass"
+
+    @pytest.mark.parametrize("n, theta, delta, case, sign", [
+        (15, 0.0, 0.05, JuntaCase.SMALL_DELTA, 1),  # E[f] = 0 exactly: sign(0) = +1
+        (15, 3.0, 0.05, JuntaCase.SMALL_DELTA, -1),
+        (16, -8.0, WIDE_DELTA, JuntaCase.CONSTANT, 1),
+        (16, 8.0, WIDE_DELTA, JuntaCase.CONSTANT, -1),
+    ])
+    def test_constant_routes_give_a_read_only_arity_0_table(self, n, theta, delta, case, sign):
+        report = extract_junta(canonicalize(np.ones(n), theta), EPS, delta)
+        assert report.case is case
+        assert report.approximator == BooleanFunction(0, [sign])
+        with pytest.raises(ValueError):
+            report.approximator.values[0] = -sign
 
     def test_case_premise_violated(self):
         # Both head offsets fall inside the tail lattice gap, so every block
