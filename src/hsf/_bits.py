@@ -21,11 +21,17 @@ from .errors import InvalidInputError
 
 
 def reals(name: str, values) -> np.ndarray:
-    """``values`` as a float64 array; InvalidInputError when an entry is not real."""
-    try:
-        return np.asarray(values, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise InvalidInputError(f"{name} must be an array of real numbers") from None
+    """``values`` as a float64 array; InvalidInputError unless its entries are bool, int or float."""
+    raw = np.asarray(values)
+    if raw.dtype.kind not in "biuf":
+        raise InvalidInputError(f"{name} must be an array of real numbers")
+    return np.asarray(raw, dtype=np.float64)
+
+
+def read_only(values: np.ndarray) -> np.ndarray:
+    """``values`` itself, its write flag cleared."""
+    values.setflags(write=False)
+    return values
 
 
 def check_signs(values: np.ndarray, message: str) -> None:
@@ -79,43 +85,34 @@ def popcounts(n: int) -> np.ndarray:
     while s < counts.size:
         np.add(counts[:s], 1, out=counts[s:2 * s])
         s *= 2
-    counts.setflags(write=False)
-    return counts
+    return read_only(counts)
 
 
-def compress_bits(idx: np.ndarray | int, positions: Sequence[int]) -> np.ndarray | int:
-    """Gather the bits of ``idx`` at ``positions`` into consecutive low bits."""
-    out = idx * 0
-    for j, p in enumerate(positions):
-        out = out | (((idx >> p) & 1) << j)
-    return out
+def head_cube(table: np.ndarray, positions: Sequence[int], n: int) -> np.ndarray:
+    """The (2,)*n cube view of ``table`` with the axes of ``positions`` first.
 
-
-def spread_bits(packed: np.ndarray | int, positions: Sequence[int]) -> np.ndarray | int:
-    """Scatter the low bits of ``packed`` to ``positions`` (inverse of compress_bits)."""
-    out = packed * 0
-    for j, p in enumerate(positions):
-        out = out | (((packed >> j) & 1) << p)
-    return out
+    Reshaped to 2**len(positions) rows, row r is the block where the bit at
+    ``positions[j]`` equals bit j of r; the other bits keep their order.
+    """
+    head = [n - 1 - p for p in reversed(positions)]
+    return table.reshape((2,) * n).transpose(head + [a for a in range(n) if a not in head])
 
 
 def spread_table(table: np.ndarray, positions: Sequence[int], n: int) -> np.ndarray:
-    """Table over n bits holding ``table[k]`` at row spread_bits(k, positions).
+    """Table over n bits whose :func:`head_cube` rows are the entries of ``table``.
 
-    The result is constant along the bits that no position names.
+    Row r holds ``table[k]`` where bit j of k is the bit of r at ``positions[j]``,
+    so the result is constant along the bits that no position names.
     """
     k = len(positions)
-    # Bit j of ``table`` is cube axis k-1-j; order the axes by target, highest first.
-    axes = [k - 1 - j for j in np.argsort(np.negative(positions))]
-    cube = table.reshape((2,) * k).transpose(axes)
-    if k < n:
-        shape = [2 if c in positions else 1 for c in range(n - 1, -1, -1)]
-        cube = np.broadcast_to(cube.reshape(shape), (2,) * n)
-    return cube.reshape(-1)
+    out = np.empty(1 << n, dtype=table.dtype)
+    head_cube(out, positions, n)[...] = table.reshape((2,) * k + (1,) * (n - k))
+    return out
 
 
 def submasks(mask: int) -> np.ndarray:
     """All 2**popcount(mask) submasks of ``mask``, ordered by packed index."""
-    pos = bit_positions(mask)
-    packed = np.arange(1 << len(pos), dtype=np.int64)
-    return np.asarray(spread_bits(packed, pos), dtype=np.int64)
+    subs = np.zeros(1, dtype=np.int64)
+    for p in bit_positions(mask):  # ascending, so each doubling adds the next packed bit
+        subs = np.concatenate([subs, subs | (1 << p)])
+    return subs

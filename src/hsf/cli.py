@@ -167,10 +167,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         for d in range(lt.n_inputs + 1)
     )
 
-    head_tau, head_ell = next(
-        ((tau, ell) for tau, ell in indices if ell != math.inf and ell <= args.max_n),
-        (None, None),
-    )
+    head_tau, head_ell = next(((tau, ell) for tau, ell in indices if ell != math.inf),
+                              (None, None))
     if head_ell is not None:
         biases = instance.head_biases(int(head_ell))
         rows.extend(

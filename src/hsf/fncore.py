@@ -64,9 +64,7 @@ class BooleanFunction:
                 f"got shape {values.shape}"
             )
         _bits.check_signs(values, "table entries must be +1 or -1")
-        values = values.astype(np.int8)
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _bits.read_only(values.astype(np.int8)))
 
     def __call__(self, x: np.ndarray) -> np.ndarray | int:
         """Evaluate at one +-1 point (1-D) or a stack of points (2-D)."""
@@ -104,9 +102,7 @@ class FourierSpectrum:
                 f"spectrum for arity {self.arity} needs {1 << self.arity} coefficients, "
                 f"got shape {coeffs.shape}"
             )
-        coeffs = coeffs.copy()
-        coeffs.setflags(write=False)
-        object.__setattr__(self, "coefficients", coeffs)
+        object.__setattr__(self, "coefficients", _bits.read_only(coeffs.copy()))
 
     def total_weight(self) -> float:
         """Sum of squared coefficients (1.0 for a +-1-valued function)."""
@@ -116,27 +112,13 @@ class FourierSpectrum:
     def degree_weights(self) -> np.ndarray:
         """Read-only squared coefficient mass per degree, computed on first use.
 
-        Entry d sums the squares over |S| = d strictly in index order: each
-        chunk goes through one np.bincount whose first n + 1 entries carry the
-        running per-degree totals, so the sums equal a single bincount over
-        the whole array bit for bit.  For a +-1 table's spectrum each partial
-        sum is a multiple of 4**-n of at most 1: exact in any order for n <= 26.
+        Entry d sums the squares over |S| = d in index order, by one np.bincount.
+        For a +-1 table's spectrum each partial sum is a multiple of 4**-n of
+        at most 1: exact in any order for n <= 26.
         """
-        n = self.arity
-        counts = _bits.popcounts(n)
-        bins = np.empty(n + 1 + _CHUNK, dtype=np.intp)
-        bins[:n + 1] = np.arange(n + 1)
-        terms = np.empty(n + 1 + _CHUNK)
-        totals = np.zeros(n + 1)
-        for lo in range(0, self.coefficients.size, _CHUNK):
-            chunk = self.coefficients[lo:lo + _CHUNK]
-            end = n + 1 + chunk.size
-            bins[n + 1:end] = counts[lo:lo + chunk.size]
-            np.multiply(chunk, chunk, out=terms[n + 1:end])
-            terms[:n + 1] = totals
-            totals = np.bincount(bins[:end], weights=terms[:end], minlength=n + 1)
-        totals.setflags(write=False)
-        return totals
+        squares = self.coefficients * self.coefficients
+        return _bits.read_only(
+            np.bincount(_bits.popcounts(self.arity), weights=squares, minlength=self.arity + 1))
 
 
 def from_values(arity: int, values, cap: int = DEFAULT_ARITY_CAP) -> BooleanFunction:
@@ -224,8 +206,7 @@ def _table_degree_weights(coefficients: np.ndarray, n: int) -> np.ndarray:
         for d in range(low + 1):
             totals[d:d + n - low + 1] += np.bincount(
                 high[lo:lo + step], weights=by_low[:, d], minlength=n - low + 1)
-    totals.setflags(write=False)
-    return totals
+    return _bits.read_only(totals)
 
 
 class _TableSpectrum(FourierSpectrum):
@@ -252,12 +233,11 @@ def wht(f: BooleanFunction) -> FourierSpectrum:
     n = check_cap("arity", f.arity, MAX_ARITY_CAP)
     coeffs = _hadamard_sums(f.values, n)
     coeffs *= 2.0 ** -n
-    coeffs.setflags(write=False)
     # Nothing else references this fresh array, so FourierSpectrum's
     # defensive copy is skipped by setting the fields directly.
     spectrum = object.__new__(_TableSpectrum)
     object.__setattr__(spectrum, "arity", n)
-    object.__setattr__(spectrum, "coefficients", coeffs)
+    object.__setattr__(spectrum, "coefficients", _bits.read_only(coeffs))
     return spectrum
 
 

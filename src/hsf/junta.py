@@ -174,9 +174,7 @@ class Instance:
         wide = self.table.values.reshape(-1, 1 << max(size, min(n, 10)))
         sums = wide.sum(axis=0, dtype=np.int64).reshape(-1, 1 << size).sum(axis=0)
         ranks = np.argsort(np.argsort(self.ltf.original_index[:size]))
-        biases = _bits.spread_table(sums / (1 << (n - size)), ranks, size)
-        biases.setflags(write=False)
-        return biases
+        return _bits.read_only(_bits.spread_table(sums / (1 << (n - size)), ranks, size))
 
 
 def prepare(ltf: Ltf, cap: int = DEFAULT_ARITY_CAP) -> Instance:

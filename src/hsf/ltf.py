@@ -46,12 +46,8 @@ class Ltf:
     n_inputs: int
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=np.float64).copy()
-        w.setflags(write=False)
-        idx = np.asarray(self.original_index, dtype=np.int64).copy()
-        idx.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "original_index", idx)
+        for name, dtype in (("weights", np.float64), ("original_index", np.int64)):
+            object.__setattr__(self, name, _bits.read_only(np.array(getattr(self, name), dtype)))
 
     @property
     def n_active(self) -> int:
@@ -77,9 +73,8 @@ class RegularityProfile:
     tau_star: float
 
     def __post_init__(self) -> None:
-        t = np.asarray(self.tail_norms, dtype=np.float64).copy()
-        t.setflags(write=False)
-        object.__setattr__(self, "tail_norms", t)
+        object.__setattr__(self, "tail_norms",
+                           _bits.read_only(np.array(self.tail_norms, dtype=np.float64)))
 
 
 def _finite(weights, theta) -> tuple[np.ndarray, float]:

@@ -61,9 +61,8 @@ class NsAggregation:
     holds: bool
 
     def __post_init__(self) -> None:
-        r = np.asarray(self.restricted, dtype=np.float64).copy()
-        r.setflags(write=False)
-        object.__setattr__(self, "restricted", r)
+        object.__setattr__(self, "restricted",
+                           _bits.read_only(np.array(self.restricted, dtype=np.float64)))
 
     def threshold_corollary(self, t: float, delta: float) -> ThresholdCorollary:
         """If more than a delta fraction of restrictions exceed t, the parent
@@ -87,15 +86,10 @@ def restrict(f: BooleanFunction, head: int, index: int) -> BooleanFunction:
     """
     head_pos = _check_head(head, f.arity)
     h = len(head_pos)
-    check_int("index", index, 0, (1 << h) - 1)
-    # On the (2,)*n cube view coordinate c is axis n-1-c: fix the bit of each
-    # head axis and keep the others, highest coordinate first.
-    n = f.arity
-    cube_index = [slice(None)] * n
-    for j, c in enumerate(head_pos):
-        cube_index[n - 1 - c] = (index >> j) & 1
-    cube = f.values.reshape((2,) * n)[tuple(cube_index)]
-    return BooleanFunction(n - h, cube.reshape(-1))
+    index = check_int("index", index, 0, (1 << h) - 1)
+    # Fixing the head axes of the cube view leaves a view of the one block.
+    block = _bits.head_cube(f.values, head_pos, f.arity)[np.unravel_index(index, (2,) * h)]
+    return BooleanFunction(f.arity - h, block.reshape(-1))
 
 
 def bias_profile(f: BooleanFunction, head: int) -> np.ndarray:
@@ -103,19 +97,12 @@ def bias_profile(f: BooleanFunction, head: int) -> np.ndarray:
 
     A head of more than HEAD_CAP coordinates fails with CapExceededError.
     """
-    h = check_cap("head size", len(_check_head(head, f.arity)), HEAD_CAP, "head cap")
-    # On the (2,)*n cube view, moving the head axes to the front (highest
-    # coordinate first) makes each row one block, in packed-index order.
+    head_pos = _check_head(head, f.arity)
+    h = check_cap("head size", len(head_pos), HEAD_CAP, "head cap")
     # Block sums of +-1 entries are exact integers, so the summation order
     # does not matter.
-    n = f.arity
-    by_coordinate = range(n - 1, -1, -1)
-    axes = [n - 1 - c for c in by_coordinate if (head >> c) & 1]
-    axes += [n - 1 - c for c in by_coordinate if not (head >> c) & 1]
-    blocks = f.values.reshape((2,) * n).transpose(axes).reshape(1 << h, -1)
-    biases = blocks.sum(axis=1, dtype=np.int64) / (1 << (n - h))
-    biases.setflags(write=False)
-    return biases
+    blocks = _bits.head_cube(f.values, head_pos, f.arity).reshape(1 << h, -1)
+    return _bits.read_only(blocks.sum(axis=1, dtype=np.int64) / (1 << (f.arity - h)))
 
 
 def restriction_energy_identity(
@@ -129,13 +116,13 @@ def restriction_energy_identity(
     Keep the routes independent; their agreement is the point.
     """
     head_pos = _check_head(head, f.arity)
-    check_int("subset", subset, 0, (1 << f.arity) - 1)
+    subset = check_int("subset", subset, 0, (1 << f.arity) - 1)
     if head & subset:
         raise InvalidInputError(
             f"subset {subset:#x} must be disjoint from head {head:#x}"
         )
     rem_pos = [j for j in range(f.arity) if not (head >> j) & 1]
-    packed_subset = int(_bits.compress_bits(int(subset), rem_pos))
+    packed_subset = sum(((subset >> c) & 1) << j for j, c in enumerate(rem_pos))
     h = len(head_pos)
     acc = 0.0
     for a in range(1 << h):

@@ -145,6 +145,16 @@ def slow_restrict(values: np.ndarray, head: int, index: int, arity: int) -> np.n
     return values[rows]
 
 
+def slow_spread_table(values: np.ndarray, positions, arity: int) -> np.ndarray:
+    """Table over ``arity`` bits by a row gather: row r reads the entry whose
+    bit j is the bit of r at ``positions[j]``, the positions in any order."""
+    rows = np.arange(1 << arity, dtype=np.int64)
+    packed = np.zeros(1 << arity, dtype=np.int64)
+    for j, c in enumerate(positions):
+        packed |= ((rows >> c) & 1) << j
+    return values[packed]
+
+
 def slow_embed_junta(values: np.ndarray, head: int, arity: int) -> np.ndarray:
     """Lift a head-junta table by gathering the head bits of every row."""
     return values[_packed_head_index(head, arity)]

@@ -19,8 +19,10 @@ from hsf import (
     embed_junta,
     extract_junta,
     from_values,
+    gaussian_cdf,
     gaussian_ns_bound,
     gaussian_ns_mc,
+    gaussian_tail,
     hoeffding_radius,
     linear_form,
     ns_aggregation_check,
@@ -31,6 +33,8 @@ from hsf import (
     random_ltf,
     regular_cdf_gap,
     save_ltf_file,
+    tail_ratio,
+    tail_ratio_check,
     wht,
 )
 from hsf.errors import check_cap, check_int, check_range
@@ -41,7 +45,8 @@ _AGG = ns_aggregation_check(random_function(4, seed=0), 0b11, 0.1)
 
 # Scalar arguments that are not numbers, not ints, negative arities, or ints
 # too large for the float arithmetic that follows; seeds numpy rejects; points,
-# tables and weights of the wrong shape or type; weights JSON cannot hold.
+# tables and weights of the wrong shape or type; weights JSON cannot hold; real
+# arrays and grids with entries that are not bools, ints or floats.
 _JUNK_CALLS = {
     "extract_junta-str-eps": lambda: extract_junta(_LT, "x", 0.5),
     "extract_junta-none-eps": lambda: extract_junta(_LT, None, 0.5),
@@ -78,6 +83,12 @@ _JUNK_CALLS = {
     "FourierSpectrum-str-coefficients": lambda: FourierSpectrum(1, ["a", "b"]),
     "save_ltf_file-nan-weight": lambda: save_ltf_file(os.devnull, [1.0, np.nan], 0.0),
     "save_ltf_file-inf-theta": lambda: save_ltf_file(os.devnull, [1.0], np.inf),
+    "FourierSpectrum-none-coefficient": lambda: FourierSpectrum(1, [None, 0.0]),
+    "gaussian_cdf-none-entry": lambda: gaussian_cdf([0.0, None]),
+    "gaussian_tail-str-theta": lambda: gaussian_tail("x"),
+    "tail_ratio-str-theta": lambda: tail_ratio("x"),
+    "tail_ratio_check-str-grid": lambda: tail_ratio_check("ab"),
+    "regular_cdf_gap-str-grid": lambda: regular_cdf_gap(_LT, t_grid="x"),
 }
 
 

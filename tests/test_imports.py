@@ -9,7 +9,8 @@ reason.  ``import hsf`` loads no numpy, and the command sets
 The package resolves its exports lazily, so the last cases check that every
 name in ``hsf.__all__`` still exists, that an unknown name is an
 ``AttributeError``, and that each export has a caller, so no function lives
-only to be exported.
+only to be exported.  No module reads a private name of another: a helper
+that two modules share gets a public name, as those in ``hsf._bits`` do.
 """
 
 import ast
@@ -206,3 +207,36 @@ def test_every_exported_name_has_a_caller():
             uncalled.append(name)
     assert uncalled == []
     assert not set(_UNCALLED_EXPORTS) - set(hsf.__all__)
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")  # __version__ is public
+
+
+def test_no_module_reads_a_private_name_of_another():
+    package = ROOT / "src" / "hsf"
+    stems = {p.stem for p in package.glob("*.py")}
+    reads = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = set()  # local names bound to an hsf module
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules.update(alias.asname or alias.name.split(".")[0] for alias in node.names
+                               if alias.name.split(".")[0] == "hsf")
+            elif isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0] == "hsf"):
+                from_package = node.module in (None, "hsf")
+                for alias in node.names:
+                    if from_package and alias.name in stems:
+                        modules.add(alias.asname or alias.name)
+                    elif _private(alias.name):
+                        reads.append(f"{path.name}:{node.lineno} imports {alias.name}")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and _private(node.attr) and node.attr not in stems:
+                root = node.value
+                while isinstance(root, ast.Attribute):
+                    root = root.value
+                if isinstance(root, ast.Name) and root.id in modules:
+                    reads.append(f"{path.name}:{node.lineno} reads {node.attr}")
+    assert reads == []

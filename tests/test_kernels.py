@@ -1,7 +1,7 @@
 """Per-instance kernels against their slow routes, byte for byte, and aliasing.
 
-The fast kernels (doubling truth tables, doubling popcounts, chunked degree
-weights, cube-view restriction, broadcast junta embedding, axis-sum bias
+The fast kernels (doubling truth tables, doubling popcounts, single-bincount
+degree weights, cube-view restriction, broadcast junta embedding, axis-sum bias
 profiles) promise the same floating-point addition sequence, or the same
 gathered rows, as the slow routes in ``_oracles``, so equality is asserted on
 ``tobytes()``, never with a tolerance.  Arities reach 18 so the 2**16-entry
@@ -48,7 +48,7 @@ from hsf import (
     truth_table,
     wht,
 )
-from hsf._bits import popcounts
+from hsf._bits import head_cube, popcounts, spread_table, submasks
 from hsf.fncore import _butterfly
 
 from _oracles import (
@@ -59,6 +59,7 @@ from _oracles import (
     slow_linear_form_table,
     slow_popcounts,
     slow_restrict,
+    slow_spread_table,
 )
 from test_head_routes import _weights_theta_delta
 
@@ -181,7 +182,7 @@ def test_prepared_degree_weights_match_single_bincount_at_chunk_edges(n, family)
 
 def test_only_spectra_of_tables_take_the_table_route(monkeypatch):
     # The route exact for +-1 tables serves the spectra wht returns; a spectrum
-    # built from arbitrary coefficients keeps the prefix bincount.
+    # built from arbitrary coefficients keeps the single bincount.
     calls = []
     table_route = hsf.fncore._table_degree_weights
 
@@ -227,6 +228,28 @@ def test_embed_junta_matches_gather(data):
     g = random_function(head.bit_count(), seed=data.draw(st.integers(0, 2**32 - 1)))
     expected = slow_embed_junta(g.values, head, arity)
     assert embed_junta(g, head, arity).values.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_spread_table_matches_gather_for_positions_in_any_order(data):
+    # Junta heads and truth tables pass positions that are not ascending.
+    n = data.draw(st.integers(0, 12))
+    k = data.draw(st.integers(0, n))
+    positions = data.draw(st.permutations(range(n)))[:k]
+    if data.draw(st.booleans()):
+        positions = np.array(positions, dtype=np.int64)
+    table = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).standard_normal(1 << k)
+    spread = spread_table(table, positions, n)
+    assert spread.tobytes() == slow_spread_table(table, positions, n).tobytes()
+    rows = head_cube(spread, positions, n).reshape(1 << k, -1)
+    assert np.array_equal(rows, np.broadcast_to(table[:, None], rows.shape))
+
+
+def test_submasks_are_every_submask_in_packed_order():
+    for mask in range(1 << 10):
+        expected = [s for s in range(mask + 1) if s & ~mask == 0]
+        assert submasks(mask).tolist() == expected
 
 
 @settings(max_examples=60, deadline=None)
