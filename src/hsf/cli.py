@@ -226,8 +226,8 @@ def _junta_row(report, verdict) -> tuple:
 
 def cmd_junta(args: argparse.Namespace) -> int:
     lt = load_ltf_file(args.ltf)
-    config = TheoremConfig(c_ns=args.c_ns, c_l=args.c_l, arity_cap=args.max_n)
-    report = extract_junta(lt, args.epsilon, args.delta, config)
+    config = TheoremConfig(c_ns=args.c_ns, c_l=args.c_l)
+    report = extract_junta(prepare(lt, cap=args.max_n), args.epsilon, args.delta, config)
     verdict = theorem_verify(report)
     d = report.diagnostics
     coords = _bits.bit_positions(report.junta_set)
@@ -256,7 +256,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     deltas = _floats(args.deltas, "--deltas")
     check_int("--count", args.count, 0)
     check_cap("arity", args.n, args.max_n)  # before any n-long draw
-    config = TheoremConfig(c_ns=args.c_ns, c_l=args.c_l, arity_cap=args.max_n)
+    config = TheoremConfig(c_ns=args.c_ns, c_l=args.c_l)
     rows: list[tuple] = []
     failed = False
     index = 0

@@ -123,6 +123,7 @@ class FourierSpectrum:
 
 def from_values(arity: int, values, cap: int = DEFAULT_ARITY_CAP) -> BooleanFunction:
     """Build a function from an explicit +-1 table of length 2**arity."""
+    cap = check_int("cap", cap, 0, MAX_ARITY_CAP)
     return BooleanFunction(check_cap("arity", check_int("arity", arity, 0), cap),
                            np.asarray(values))
 
@@ -264,6 +265,7 @@ def distance(f: BooleanFunction, g: BooleanFunction) -> float:
 
 def random_function(arity: int, seed, cap: int = DEFAULT_ARITY_CAP) -> BooleanFunction:
     """Uniformly random +-1 table; identical seeds give identical tables."""
+    cap = check_int("cap", cap, 0, MAX_ARITY_CAP)
     arity = check_cap("arity", check_int("arity", arity, 0), cap)
     rng = _bits.rng(seed)
     values = rng.integers(0, 2, size=1 << arity, dtype=np.int8) * 2 - 1

@@ -23,19 +23,13 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _bits
 from .errors import InvalidInputError, check_cap, check_int, check_range
-from .fncore import (
-    DEFAULT_ARITY_CAP,
-    MAX_ARITY_CAP,
-    BooleanFunction,
-    FourierSpectrum,
-    wht,
-)
+from .fncore import DEFAULT_ARITY_CAP, BooleanFunction, FourierSpectrum, wht
 from .ltf import Ltf, canonical_table, critical_index, head_mask
 from .noise import CHECK_TOL, ns_exact
 from .restriction import HEAD_CAP, bias_profile
@@ -60,23 +54,21 @@ class JuntaCase(str, enum.Enum):
 
 @dataclass(frozen=True)
 class TheoremConfig:
-    """Empirical constants of the theorem and the arity cap for extraction.
+    """Empirical constants of the theorem.
 
     ``c_ns`` scales the premise bound and ``c_l`` the head budget; both must
-    be finite and positive.  ``arity_cap`` bounds the exact truth table and
-    is an int in [1, MAX_ARITY_CAP].  The premise exponent (2 - eps) / (1 - eps),
-    the validity range (VALIDITY_LIMIT) and the head cap
-    (:data:`~hsf.restriction.HEAD_CAP`) are fixed.
+    be finite and positive.  The premise exponent (2 - eps) / (1 - eps), the
+    validity range (VALIDITY_LIMIT) and the head cap
+    (:data:`~hsf.restriction.HEAD_CAP`) are fixed; the arity cap is
+    :func:`prepare`'s.
     """
 
     c_ns: float = 1.0
     c_l: float = 1.0
-    arity_cap: int = DEFAULT_ARITY_CAP
 
     def __post_init__(self) -> None:
         check_range("c_ns", self.c_ns, 0, math.inf, open_lo=True, open_hi=True)
         check_range("c_l", self.c_l, 0, math.inf, open_lo=True, open_hi=True)
-        check_int("arity_cap", self.arity_cap, 1, MAX_ARITY_CAP)
 
 
 @dataclass(frozen=True)
@@ -146,13 +138,17 @@ class Instance:
     """A threshold function with its exact truth table and spectrum.
 
     Built once by :func:`prepare` and shared by every extraction on the same
-    function, so the per-instance work is not repeated per (eps, delta).
-    ``table`` and ``spectrum`` are in sorted-position coordinates: see ``canonical_table``.
+    function, so the per-instance work is not repeated per (eps, delta): the
+    noise sensitivity and critical index at each eps are computed on the
+    first extraction at that eps and remembered.  ``table`` and ``spectrum``
+    are in sorted-position coordinates: see ``canonical_table``.
     """
 
     ltf: Ltf
     table: BooleanFunction
     spectrum: FourierSpectrum
+    # eps -> (ns_exact(spectrum, eps), critical_index(ltf, eps)), filled by extract_junta.
+    _per_eps: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.ltf.n_inputs == self.table.arity == self.spectrum.arity:
@@ -262,25 +258,25 @@ def extract_junta(
     """Classify a threshold function and build its junta approximator.
 
     ``instance`` is a prepared :class:`Instance`, or an :class:`Ltf` that is
-    prepared on the spot.  Branch order is part of the contract: the
-    small-delta guard delta^(1/(1-eps)) < sqrt(eps) is checked first and
-    yields a constant; then the critical index at tau = eps decides between a
-    constant (index 1), a head construction (index within budget: projection
-    when few head blocks are unbiased, otherwise the premise-violation case
-    with a best-effort junta), and the head-budget junta (index beyond
-    budget).
+    prepared on the spot at the default arity cap.  Branch order is part of
+    the contract: the small-delta guard delta^(1/(1-eps)) < sqrt(eps) is
+    checked first and yields a constant; then the critical index at tau = eps
+    decides between a constant (index 1), a head construction (index within
+    budget: projection when few head blocks are unbiased, otherwise the
+    premise-violation case with a best-effort junta), and the head-budget
+    junta (index beyond budget).
     """
     config = config or TheoremConfig()
     epsilon, delta = _check_eps_delta(epsilon, delta)
     if isinstance(instance, Ltf):
-        instance = prepare(instance, cap=config.arity_cap)
-    check_cap("arity", instance.ltf.n_inputs, config.arity_cap)
+        instance = prepare(instance)
     ltf, spectrum = instance.ltf, instance.spectrum
     n = ltf.n_inputs
-    ns_value = ns_exact(spectrum, epsilon)
+    if epsilon not in instance._per_eps:  # neither value depends on delta
+        instance._per_eps[epsilon] = (ns_exact(spectrum, epsilon), critical_index(ltf, epsilon))
+    ns_value, ell = instance._per_eps[epsilon]
     bound = premise_bound(epsilon, delta, config.c_ns)
     premise_holds = ns_value <= bound
-    ell = critical_index(ltf, epsilon)
     budget = junta_budget(epsilon, delta, config.c_l)
     small_delta = delta ** (1.0 / (1.0 - epsilon)) < math.sqrt(epsilon)
     within = epsilon <= VALIDITY_LIMIT and delta <= VALIDITY_LIMIT

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _bits
 from .errors import DegenerateLtfError, InvalidInputError, check_cap, check_int, check_range
-from .fncore import DEFAULT_ARITY_CAP, BooleanFunction
+from .fncore import DEFAULT_ARITY_CAP, MAX_ARITY_CAP, BooleanFunction
 
 INFINITE_INDEX = math.inf
 
@@ -160,7 +160,7 @@ def canonical_linear_form(ltf: Ltf, cap: int = DEFAULT_ARITY_CAP) -> np.ndarray:
     entry is 0 +- w_0 +- w_1 ... summed left to right, exactly as
     :func:`linear_form` does.
     """
-    check_cap("arity", ltf.n_inputs, cap)
+    check_cap("arity", ltf.n_inputs, check_int("cap", cap, 0, MAX_ARITY_CAP))
     acc = np.empty(1 << ltf.n_active)
     acc[0] = 0.0
     s = 1

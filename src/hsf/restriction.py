@@ -111,9 +111,11 @@ def restriction_energy_identity(
     """Average of squared restricted coefficients at a fixed tail subset.
 
     Both sides of the exact identity are computed by separate routes: the left
-    by restricting and transforming each assignment, the right by summing the
-    parent's squared coefficients over all head subsets attached to ``subset``.
-    Keep the routes independent; their agreement is the point.
+    from each assignment's restricted table (a row of the head cube), as its
+    exact integer product with the parity at ``subset`` over 2**(n-h); the
+    right by summing the parent's squared coefficients over all head subsets
+    attached to ``subset``.  Keep the routes independent; their agreement is
+    the point.
     """
     head_pos = _check_head(head, f.arity)
     subset = check_int("subset", subset, 0, (1 << f.arity) - 1)
@@ -123,13 +125,11 @@ def restriction_energy_identity(
         )
     rem_pos = [j for j in range(f.arity) if not (head >> j) & 1]
     packed_subset = sum(((subset >> c) & 1) << j for j, c in enumerate(rem_pos))
-    h = len(head_pos)
-    acc = 0.0
-    for a in range(1 << h):
-        g = restrict(f, head, a)
-        coeff = wht(g).coefficients[packed_subset]
-        acc += float(coeff) * float(coeff)
-    lhs = acc / (1 << h)
+    h, m = len(head_pos), len(rem_pos)
+    rows = _bits.head_cube(f.values, head_pos, f.arity).reshape(1 << h, 1 << m)
+    parity = np.where(_bits.popcounts(m)[np.arange(1 << m) & packed_subset] & 1, -1, 1)
+    coeffs = (rows @ parity / (1 << m)).tolist()  # each restriction's coefficient, exact
+    lhs = sum(c * c for c in coeffs) / (1 << h)  # summed in assignment order
     parent = wht(f).coefficients
     attached = np.asarray(subset | _bits.submasks(head))
     rhs = float(np.sum(parent[attached] ** 2))

@@ -170,6 +170,14 @@ class TestJunta:
         assert fields[6] == "true" and fields[9] == "pass"
         assert trailer.startswith("# seed=")
 
+    def test_arity_cap_is_max_n(self, tmp_path, capsys):
+        path = tmp_path / "wide.json"
+        save_ltf_file(path, list(np.ones(21)), 0.0)
+        argv = ["junta", "--ltf", str(path), "--epsilon", "0.1", "--delta", "0.1", "--quiet"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "error: arity 21 exceeds cap 20\n"
+        assert cli.main(argv + ["--max-n", "21"]) == 0
+
     def test_failing_verdict_exits_one(self, tmp_path, monkeypatch):
         monkeypatch.setattr(
             cli, "theorem_verify",
@@ -256,6 +264,22 @@ class TestSweep:
         )
         assert code == 2
         assert "exceeds cap" in capsys.readouterr().err
+
+    def test_per_function_values_once_per_instance_and_epsilon(self, monkeypatch):
+        # ns and the critical index depend on the function and eps only, so a
+        # sweep computes each once per (instance, eps), not once per cell.
+        calls = {"ns_exact": [], "critical_index": []}
+        for name, calls_of in calls.items():
+            def counting(source, eps, real=getattr(hsf.junta, name), calls_of=calls_of):
+                calls_of.append(eps)
+                return real(source, eps)
+            monkeypatch.setattr(hsf.junta, name, counting)
+        assert cli.main(
+            ["sweep", "--families", "equal,gaussian", "--n", "6", "--count", "3",
+             "--epsilons", "0.05,0.1,0.25", "--deltas", "0.05,0.1,0.2", "--quiet"]
+        ) == 0
+        for calls_of in calls.values():
+            assert sorted(calls_of) == [0.05] * 6 + [0.1] * 6 + [0.25] * 6
 
 
 class TestGaussianAndChecks:

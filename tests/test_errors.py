@@ -35,6 +35,7 @@ from hsf import (
     save_ltf_file,
     tail_ratio,
     tail_ratio_check,
+    truth_table,
     wht,
 )
 from hsf.errors import check_cap, check_int, check_range
@@ -44,9 +45,10 @@ _LT = canonicalize([3.0, 1.0, 1.0], 0.2)
 _AGG = ns_aggregation_check(random_function(4, seed=0), 0b11, 0.1)
 
 # Scalar arguments that are not numbers, not ints, negative arities, or ints
-# too large for the float arithmetic that follows; seeds numpy rejects; points,
-# tables and weights of the wrong shape or type; weights JSON cannot hold; real
-# arrays and grids with entries that are not bools, ints or floats.
+# too large for the float arithmetic that follows; arity caps above 24; seeds
+# numpy rejects; points, tables and weights of the wrong shape or type; weights
+# JSON cannot hold; real arrays and grids with entries that are not bools, ints
+# or floats.
 _JUNK_CALLS = {
     "extract_junta-str-eps": lambda: extract_junta(_LT, "x", 0.5),
     "extract_junta-none-eps": lambda: extract_junta(_LT, None, 0.5),
@@ -65,6 +67,9 @@ _JUNK_CALLS = {
     "regular_cdf_gap-str-cap": lambda: regular_cdf_gap(_LT, cap="x"),
     "from_values-none-cap": lambda: from_values(1, [1, -1], cap=None),
     "prepare-float-cap": lambda: prepare(_LT, cap=1.5),
+    "prepare-cap-above-max": lambda: prepare(_LT, cap=25),
+    "truth_table-huge-cap": lambda: truth_table(_LT, cap=10**6),
+    "random_function-cap-above-max": lambda: random_function(3, seed=0, cap=99),
     "BooleanFunction-call-3d-points": lambda: _F(np.ones((1, 2, 2))),
     "BooleanFunction-call-str-points": lambda: _F(np.array(["1", "1"])),
     "Ltf-call-3d-points": lambda: _LT(np.ones((1, 3, 3))),

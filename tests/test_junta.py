@@ -22,6 +22,7 @@ from hsf import (
     head_projection,
     junta_budget,
     premise_bound,
+    prepare,
     random_function,
     theorem_verify,
     truth_table,
@@ -74,17 +75,21 @@ class TestBudgetAndPremise:
     def test_config_validation(self):
         with pytest.raises(InvalidInputError):
             TheoremConfig(c_ns=0.0)
-        with pytest.raises(InvalidInputError):
-            TheoremConfig(arity_cap=0)
-        assert TheoremConfig(arity_cap=MAX_ARITY_CAP).arity_cap == MAX_ARITY_CAP
-        with pytest.raises(InvalidInputError, match="arity_cap must be in"):
-            TheoremConfig(arity_cap=MAX_ARITY_CAP + 1)
+        # The arity cap is prepare's alone.
+        assert [f.name for f in dataclasses.fields(TheoremConfig)] == ["c_ns", "c_l"]
+        lt = canonicalize(np.ones(3), 0.0)
+        with pytest.raises(CapExceededError, match="^arity 3 exceeds cap 0$"):
+            prepare(lt, cap=0)
+        assert prepare(lt, cap=MAX_ARITY_CAP).table.arity == 3
+        with pytest.raises(InvalidInputError, match=r"^cap must be in \[0, 24\], got 25$"):
+            prepare(lt, cap=MAX_ARITY_CAP + 1)
 
     @pytest.mark.parametrize("cap", [4.5, 20.0, True, np.bool_(True), "20", None])
     def test_arity_cap_must_be_an_int(self, cap):
-        with pytest.raises(InvalidInputError, match="arity_cap must be an int"):
-            TheoremConfig(arity_cap=cap)
-        assert TheoremConfig(arity_cap=np.int64(4)).arity_cap == 4
+        lt = canonicalize(np.ones(4), 0.0)
+        with pytest.raises(InvalidInputError, match="cap must be an int"):
+            prepare(lt, cap=cap)
+        assert prepare(lt, cap=np.int64(4)).table.arity == 4
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_constants_must_be_finite(self, value):
@@ -284,9 +289,9 @@ class TestCapsAndValidation:
     def test_head_cap_in_projection_case(self):
         # Critical index 18 within budget 21: the projection head is too big.
         weights = np.concatenate([0.5 ** np.arange(1, 18), np.full(5, 1e-6)])
-        config = TheoremConfig(c_l=70, arity_cap=22)
+        instance = prepare(canonicalize(weights, 0.0), cap=22)
         with pytest.raises(CapExceededError, match="exceeds head cap 16"):
-            extract_junta(canonicalize(weights, 0.0), 0.5, 0.9, config)
+            extract_junta(instance, 0.5, 0.9, TheoremConfig(c_l=70))
 
     def test_head_cap_in_budget_case(self):
         # Budget 17 below the 20 active coordinates: the budget head is too big.

@@ -14,7 +14,8 @@ bincount, and the transform and those weights must stay within their memory
 bounds.  The distance an extraction reads from block counts must equal, byte
 for byte, the distance of its junta lifted to the full table, in every case.  A prepared instance is built in
 sorted-position order, and everything an extraction reads from it must equal,
-byte for byte, the same value read from the input-order table.
+byte for byte, the same value read from the input-order table, and an
+instance reused across (eps, delta) cells must report what fresh ones do.
 """
 
 import tracemalloc
@@ -485,6 +486,44 @@ def test_distance_matches_lifted_junta(args):
     wt, epsilon, delta, c_l = args
     report = _check_distance_against_lift(prepare(canonicalize(*wt)), epsilon, delta, c_l)
     event(str(report.case))
+
+
+@st.composite
+def instance_and_cells(draw):
+    # Weights and up to nine (eps, delta, c_ns, c_l) cells over a few eps, so
+    # eps repeats; a head-route draw contributes its own cell.
+    if draw(st.booleans()):
+        wt, epsilon, delta, c_l = draw(head_over_lattice(max_n=14))
+        own = [(epsilon, delta, 1.0, c_l)]
+    else:
+        wt, own = draw(weights_and_theta(max_n=14)), []
+    cells = st.lists(st.tuples(
+        st.sampled_from([0.05, 0.25, 0.3, 0.35, 0.45]),
+        st.sampled_from([0.05, 0.3, 0.62, 0.7, 0.95]),
+        st.sampled_from([0.1, 1.0, 10.0]),
+        st.sampled_from([0.03, 1.0, 3.0]),
+    ), min_size=1, max_size=8)
+    return wt, draw(st.permutations(own + draw(cells)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(instance_and_cells())
+def test_reused_instance_reports_equal_fresh_ones(args):
+    # The instance remembers ns and the critical index per eps; every report
+    # from it must equal, field for field, the report from a fresh instance.
+    wt, cells = args
+    lt = canonicalize(*wt)
+    reused = prepare(lt)
+    for eps, delta, c_ns, c_l in cells:
+        config = TheoremConfig(c_ns=c_ns, c_l=c_l)
+        got = extract_junta(reused, eps, delta, config)
+        want = extract_junta(prepare(lt), eps, delta, config)
+        assert (got.case, got.junta_set, got.approximator) == (
+            want.case, want.junta_set, want.approximator)
+        assert np.float64(got.distance).tobytes() == np.float64(want.distance).tobytes()
+        assert repr(got.diagnostics) == repr(want.diagnostics)  # nan-safe, every bit
+        event(str(got.case))
+    assert "_per_eps" not in repr(reused)
 
 
 def test_extraction_never_lifts_or_compares_tables(monkeypatch):
