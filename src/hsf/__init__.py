@@ -27,8 +27,7 @@ _HOME = {
     name: module
     for module, names in {
         "errors": "CapExceededError DegenerateLtfError HsfError InvalidInputError",
-        "fncore": "BooleanFunction FourierSpectrum distance from_values mean "
-        "random_function synthesize wht",
+        "fncore": "BooleanFunction FourierSpectrum mean random_function synthesize wht",
         "junta": "Diagnostics HeadProjection Instance JuntaCase JuntaReport TheoremConfig "
         "Verdict extract_junta head_projection junta_budget premise_bound prepare "
         "theorem_verify",
@@ -41,7 +40,7 @@ _HOME = {
         "hoeffding_radius ns_bruteforce ns_exact ns_mc regular_cdf_gap tail_ratio "
         "tail_ratio_check",
         "restriction": "NsAggregation RestrictionEnergy ThresholdCorollary bias_profile "
-        "embed_junta ns_aggregation_check restrict restriction_energy_identity",
+        "ns_aggregation_check restrict restriction_energy_identity",
     }.items()
     for name in names.split()
 }

@@ -18,6 +18,7 @@ check failed, 2 on usage or input errors.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import math
 import os
 import sys
@@ -32,7 +33,7 @@ import numpy as np
 from . import __version__, _bits
 from .errors import HsfError, InvalidInputError, check_cap, check_int
 from .fncore import DEFAULT_ARITY_CAP, MAX_ARITY_CAP, random_function, wht
-from .junta import TheoremConfig, extract_junta, prepare, theorem_verify
+from .junta import TheoremConfig, extract_junta, junta_budget, prepare, theorem_verify
 from .ltf import (
     canonicalize,
     critical_index,
@@ -227,6 +228,7 @@ def _junta_row(report, verdict) -> tuple:
 def cmd_junta(args: argparse.Namespace) -> int:
     lt = load_ltf_file(args.ltf)
     config = TheoremConfig(c_ns=args.c_ns, c_l=args.c_l)
+    junta_budget(args.epsilon, args.delta, config.c_l)  # before the table
     report = extract_junta(prepare(lt, cap=args.max_n), args.epsilon, args.delta, config)
     verdict = theorem_verify(report)
     d = report.diagnostics
@@ -257,6 +259,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     check_int("--count", args.count, 0)
     check_cap("arity", args.n, args.max_n)  # before any n-long draw
     config = TheoremConfig(c_ns=args.c_ns, c_l=args.c_l)
+    # Every argument a cell checks, checked before the first table.
+    for family, rate in families:
+        random_ltf(args.n, family, rate=rate, theta_law=args.theta_law, seed=0)
+    for eps in epsilons:
+        for delta in deltas:
+            junta_budget(eps, delta, config.c_l)
     rows: list[tuple] = []
     failed = False
     index = 0
@@ -472,6 +480,15 @@ def _resolve_seed(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
+    # glibc raises its mmap and trim thresholds as blocks happen to be freed, so
+    # whether a sweep faulted each instance's pages in again was incidental (a
+    # golden sweep took 9k to 128k faults).  Fix both at their 64-bit maxima.
+    try:
+        libc = ctypes.CDLL(None)
+        libc.mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+        libc.mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+    except (AttributeError, OSError, TypeError):  # not glibc
+        pass
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -481,10 +498,7 @@ def main(argv=None) -> int:
         args.seed = _resolve_seed(args)
         check_int("--max-n", args.max_n, 1, MAX_ARITY_CAP)
         return args.func(args)
-    except HsfError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (HsfError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

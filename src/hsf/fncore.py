@@ -121,13 +121,6 @@ class FourierSpectrum:
             np.bincount(_bits.popcounts(self.arity), weights=squares, minlength=self.arity + 1))
 
 
-def from_values(arity: int, values, cap: int = DEFAULT_ARITY_CAP) -> BooleanFunction:
-    """Build a function from an explicit +-1 table of length 2**arity."""
-    cap = check_int("cap", cap, 0, MAX_ARITY_CAP)
-    return BooleanFunction(check_cap("arity", check_int("arity", arity, 0), cap),
-                           np.asarray(values))
-
-
 def _butterfly(a: np.ndarray) -> np.ndarray:
     # Unnormalized transform of ``a`` in place, returned for chaining.  Each
     # pass saves the left halves in one half-size scratch buffer, then forms
@@ -254,13 +247,6 @@ def synthesize(spectrum: FourierSpectrum) -> np.ndarray:
 def mean(f: BooleanFunction) -> float:
     """E[f] under the uniform distribution."""
     return float(np.mean(f.values, dtype=np.float64))
-
-
-def distance(f: BooleanFunction, g: BooleanFunction) -> float:
-    """Fraction of inputs where f and g disagree."""
-    if f.arity != g.arity:
-        raise InvalidInputError(f"arity mismatch: {f.arity} vs {g.arity}")
-    return float(np.count_nonzero(f.values != g.values)) / f.values.size
 
 
 def random_function(arity: int, seed, cap: int = DEFAULT_ARITY_CAP) -> BooleanFunction:

@@ -121,16 +121,12 @@ class Verdict:
 
 @dataclass(frozen=True)
 class HeadProjection:
-    """Junta built by overwriting unbiased head blocks and projecting.
-
-    ``biases`` is the bias profile of the head the projection was read from.
-    """
+    """Junta built by overwriting unbiased head blocks and projecting."""
 
     approximator: BooleanFunction
     certified: bool
     residual_sq: float
     frac_unbiased: float
-    biases: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -238,7 +234,6 @@ def _project(biases: np.ndarray, delta: float) -> HeadProjection:
         certified=frac <= delta,
         residual_sq=residual_sq,
         frac_unbiased=frac,
-        biases=biases,
     )
 
 
@@ -294,9 +289,9 @@ def extract_junta(
     elif ell <= budget:
         head_size = int(ell)
         junta_set = head_mask(ltf, head_size)
-        proj = _project(_proper_head_biases(instance, head_size), delta)
+        biases = _proper_head_biases(instance, head_size)
+        proj = _project(biases, delta)
         frac_unbiased = proj.frac_unbiased
-        biases = proj.biases
         if proj.certified:
             case = JuntaCase.PROJECTION
             approx = proj.approximator
@@ -347,7 +342,7 @@ def extract_junta(
     )
 
 
-def theorem_verify(report: JuntaReport, delta: float | None = None) -> Verdict:
+def theorem_verify(report: JuntaReport) -> Verdict:
     """Judge a report against the guarantee its case promises.
 
     A violated premise makes every guarantee vacuous (the verdict passes with
@@ -356,7 +351,7 @@ def theorem_verify(report: JuntaReport, delta: float | None = None) -> Verdict:
     case then contradicts itself and fails loudly.
     """
     d = report.diagnostics
-    delta = check_range("delta", d.delta if delta is None else delta, 0, 1, open_lo=True)
+    delta = check_range("delta", d.delta, 0, 1, open_lo=True)
     if not d.premise_holds:
         return Verdict(passed=True, vacuous=True, label="premise-violated")
     if report.case is JuntaCase.PREMISE_VIOLATED:

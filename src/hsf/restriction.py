@@ -155,17 +155,3 @@ def ns_aggregation_check(f: BooleanFunction, head: int, epsilon: float) -> NsAgg
         restricted=restricted,
         holds=ns_value >= restricted_mean - CHECK_TOL,
     )
-
-
-def embed_junta(g: BooleanFunction, head: int, arity: int) -> BooleanFunction:
-    """Lift a function of the head coordinates to the full cube.
-
-    Variable j of ``g`` is identified with the j-th smallest head coordinate.
-    With ``fncore.distance``, the test oracle for ``extract_junta`` distances.
-    """
-    head_pos = _check_head(head, check_int("arity", arity, 0))
-    if g.arity != len(head_pos):
-        raise InvalidInputError(
-            f"junta arity {g.arity} does not match head size {len(head_pos)}"
-        )
-    return BooleanFunction(arity, _bits.spread_table(g.values, head_pos, arity))

@@ -5,10 +5,10 @@ the spectrum oracle is the quadratic-time inner-product definition, majority
 tables come straight from popcounts, the support of a table is read by
 flipping one variable at a time, and the tail-ratio references go through
 mpmath at high precision.  The per-instance kernels (Walsh-Hadamard butterfly,
-linear-form table, popcounts, degree weights, restriction, junta embedding,
-bias profiles)
+linear-form table, popcounts, degree weights, restriction, bias profiles)
 are kept here in their original float64, blockwise and bit-loop forms, which
-the fast kernels must match byte for byte.
+the fast kernels must match byte for byte.  The bit-loop junta lift and table
+comparison are the oracle of the distances extractions report.
 """
 
 import mpmath
@@ -158,6 +158,12 @@ def slow_spread_table(values: np.ndarray, positions, arity: int) -> np.ndarray:
 def slow_embed_junta(values: np.ndarray, head: int, arity: int) -> np.ndarray:
     """Lift a head-junta table by gathering the head bits of every row."""
     return values[_packed_head_index(head, arity)]
+
+
+def junta_distance(values: np.ndarray, junta_values: np.ndarray, head: int, arity: int) -> float:
+    """Fraction of rows where a table differs from the lifted head junta."""
+    lifted = slow_embed_junta(np.asarray(junta_values), head, arity)
+    return float(np.count_nonzero(values != lifted)) / values.size
 
 
 def slow_bias_profile(values: np.ndarray, head: int, arity: int) -> np.ndarray:

@@ -17,8 +17,6 @@ from hsf import (
     canonicalize,
     cli,
     constant_bound_check,
-    distance,
-    embed_junta,
     gaussian_disagreement,
     gaussian_ns_bound,
     gaussian_ns_mc,
@@ -39,6 +37,7 @@ from hsf import (
 from _oracles import (
     TAIL_RATIO_BAND_MAX,
     TAIL_RATIO_BAND_MIN,
+    junta_distance,
     majority_values,
     mp_tail_ratio,
     parity_values,
@@ -252,8 +251,8 @@ def test_criterion_10_dominant_head_projection():
         mask = (1 << h) - 1
         proj = head_projection(table, mask, 0.1)
         certified += proj.certified
-        approx = embed_junta(proj.approximator, mask, table.arity)
-        max_distance = max(max_distance, distance(table, approx))
+        max_distance = max(max_distance, junta_distance(
+            table.values, proj.approximator.values, mask, table.arity))
         max_residual = max(max_residual, proj.residual_sq)
     ok = certified == 20 and max_distance <= 3 * 0.1 and max_residual < 2 * 0.1
     record_criterion(
@@ -275,12 +274,12 @@ def test_criterion_11_best_junta_optimality():
             f = random_function(n, [SEED, 11, n, h])
             head_positions = rng.choice(n, size=h, replace=False)
             head = int(sum(1 << int(j) for j in head_positions))
-            best_junta = BooleanFunction(h, np.where(bias_profile(f, head) >= 0, 1, -1))
-            best = distance(f, embed_junta(best_junta, head, n))
+            best_junta = np.where(bias_profile(f, head) >= 0, 1, -1)
+            best = junta_distance(f.values, best_junta, head, n)
             for pattern in range(1 << (1 << h)):
                 bits = (pattern >> np.arange(1 << h)) & 1
-                candidate = BooleanFunction(h, np.where(bits == 1, 1, -1))
-                rival = distance(f, embed_junta(candidate, head, n))
+                candidate = np.where(bits == 1, 1, -1)
+                rival = junta_distance(f.values, candidate, head, n)
                 if rival < best - 1e-15:
                     beaten += 1
             combos += 1

@@ -1,8 +1,10 @@
 """Command-line surface: exit codes, CSV contracts, seeding, and errors."""
 
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,6 +79,16 @@ _BAD_INPUTS = [
                  "budget L is not finite", id="sweep-huge-c-l"),
     pytest.param(_VALID_ARGV["sweep"], ["--n", str(10**15), "--max-n", "20"], None,
                  "exceeds cap 20", id="sweep-n-past-cap"),
+    # A sweep that would draw nothing still refuses what its cells would refuse.
+    *(pytest.param(_VALID_ARGV["sweep"], extra + ["--count", "0"], None, message,
+                   id=f"sweep-no-cells-{name}")
+      for name, extra, message in [
+          ("family", ["--families", "bogus"], "unknown family 'bogus'"),
+          ("rate", ["--families", "geometric:1.5"], "rate must be in (0, 1), got 1.5"),
+          ("theta-law", ["--theta-law", "bogus"], "unknown theta law 'bogus'"),
+          ("n", ["--n", "0"], "n must be in [1, inf], got 0"),
+          ("epsilon", ["--epsilons", "0.7"], "epsilon must be in (0, 0.5], got 0.7"),
+      ]),
     pytest.param(_ltf_argv("junta", weights=(1e-300, 1e-300), theta=1e300), [], None,
                  "canonical theta overflows", id="junta-theta-overflow"),
     *(pytest.param(_raw_ltf_argv(command, document), [], None, message, id=f"{command}-{name}")
@@ -280,6 +292,23 @@ class TestSweep:
         ) == 0
         for calls_of in calls.values():
             assert sorted(calls_of) == [0.05] * 6 + [0.1] * 6 + [0.25] * 6
+
+    def test_golden_sweep_reuses_its_heap_pages(self, tmp_path):
+        # Each instance reuses the pages the one before it freed: a fresh
+        # golden sweep faults about 6k pages.  With the heap top trimmed after
+        # instances it faulted 9k to 128k, depending on the checkout's path.
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "hsf.cli", "sweep", "--families",
+             "equal,gaussian,geometric:0.97", "--n", "16", "--count", "168",
+             "--theta-law", "gaussian:2", "--quiet", "--out", str(tmp_path / "sweep.csv")],
+            env=env)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        assert proc.returncode == 0
+        assert usage.ru_minflt < 20_000
 
 
 class TestGaussianAndChecks:

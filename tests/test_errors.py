@@ -16,9 +16,7 @@ from hsf import (
     bivariate_rectangle,
     boolean_pair_quadrant_mc,
     canonicalize,
-    embed_junta,
     extract_junta,
-    from_values,
     gaussian_cdf,
     gaussian_ns_bound,
     gaussian_ns_mc,
@@ -40,7 +38,7 @@ from hsf import (
 )
 from hsf.errors import check_cap, check_int, check_range
 
-_F = from_values(2, [1, 1, -1, 1])
+_F = BooleanFunction(2, [1, 1, -1, 1])
 _LT = canonicalize([3.0, 1.0, 1.0], 0.2)
 _AGG = ns_aggregation_check(random_function(4, seed=0), 0b11, 0.1)
 
@@ -62,10 +60,8 @@ _JUNK_CALLS = {
     "gaussian_ns_bound-str-theta": lambda: gaussian_ns_bound("x", 0.1),
     "canonicalize-str-theta": lambda: canonicalize([1.0], "x"),
     "bivariate_rectangle-str-endpoint": lambda: bivariate_rectangle((0, "x"), (0, 1), 0.5),
-    "embed_junta-str-arity": lambda: embed_junta(_F, 0b11, "x"),
     "hoeffding_radius-huge-samples": lambda: hoeffding_radius(10**400),
     "regular_cdf_gap-str-cap": lambda: regular_cdf_gap(_LT, cap="x"),
-    "from_values-none-cap": lambda: from_values(1, [1, -1], cap=None),
     "prepare-float-cap": lambda: prepare(_LT, cap=1.5),
     "prepare-cap-above-max": lambda: prepare(_LT, cap=25),
     "truth_table-huge-cap": lambda: truth_table(_LT, cap=10**6),

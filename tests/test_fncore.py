@@ -8,42 +8,47 @@ from hsf import (
     CapExceededError,
     FourierSpectrum,
     InvalidInputError,
-    distance,
-    from_values,
     mean,
     random_function,
     synthesize,
     wht,
 )
 
-from _oracles import is_junta_on, majority_values, parity_values, point_of_row, slow_spectrum
+from _oracles import (
+    is_junta_on,
+    junta_distance,
+    majority_values,
+    parity_values,
+    point_of_row,
+    slow_spectrum,
+)
 
-MAJ3 = from_values(3, [1, 1, 1, -1, 1, -1, -1, -1])
+MAJ3 = BooleanFunction(3, [1, 1, 1, -1, 1, -1, -1, -1])
 MAJ3_SPECTRUM = [0.0, 0.5, 0.5, 0.0, 0.5, 0.0, 0.0, -0.5]
 
 
 class TestBooleanFunction:
     def test_rejects_wrong_table_length(self):
         with pytest.raises(InvalidInputError, match="needs 8 entries"):
-            from_values(3, [1, -1])
+            BooleanFunction(3, [1, -1])
 
     def test_rejects_non_sign_entries(self):
         with pytest.raises(InvalidInputError, match=r"\+1 or -1"):
-            from_values(1, [1, 0])
+            BooleanFunction(1, [1, 0])
 
     def test_rejects_negative_arity(self):
         with pytest.raises(InvalidInputError):
-            from_values(-1, [])
+            BooleanFunction(-1, [])
 
     def test_rejects_arity_beyond_cap(self):
+        # The cap belongs to the constructors that allocate the table.
         with pytest.raises(CapExceededError, match="exceeds cap 20"):
-            from_values(21, np.ones(1 << 21, dtype=np.int8))
+            random_function(21, seed=0)
 
     def test_cap_is_adjustable_but_bounded(self):
-        f = from_values(4, np.ones(16), cap=4)
-        assert f.arity == 4
+        assert random_function(4, seed=0, cap=4).arity == 4
         with pytest.raises(CapExceededError):
-            from_values(5, np.ones(32), cap=4)
+            random_function(5, seed=0, cap=4)
 
     def test_values_are_read_only(self):
         with pytest.raises(ValueError):
@@ -70,10 +75,10 @@ class TestBooleanFunction:
             MAJ3(np.array([1, 0, -1]))
 
     def test_equality_and_hash(self):
-        g = from_values(3, MAJ3.values.copy())
+        g = BooleanFunction(3, MAJ3.values.copy())
         assert g == MAJ3
         assert hash(g) == hash(MAJ3)
-        assert from_values(1, [1, -1]) != from_values(1, [1, 1])
+        assert BooleanFunction(1, [1, -1]) != BooleanFunction(1, [1, 1])
 
 
 class TestWht:
@@ -89,13 +94,13 @@ class TestWht:
 
     @pytest.mark.parametrize("n,subset", [(1, 1), (3, 0b101), (5, 0b11111), (6, 0b10)])
     def test_parity_spectrum_is_one_indicator(self, n, subset):
-        coeffs = wht(from_values(n, parity_values(n, subset))).coefficients
+        coeffs = wht(BooleanFunction(n, parity_values(n, subset))).coefficients
         expected = np.zeros(1 << n)
         expected[subset] = 1.0
         np.testing.assert_allclose(coeffs, expected, atol=1e-15)
 
     def test_constant_spectrum(self):
-        coeffs = wht(from_values(2, [-1, -1, -1, -1])).coefficients
+        coeffs = wht(BooleanFunction(2, [-1, -1, -1, -1])).coefficients
         np.testing.assert_allclose(coeffs, [-1.0, 0, 0, 0], atol=1e-15)
 
     def test_parseval_on_random_functions(self):
@@ -124,27 +129,23 @@ class TestWht:
 class TestSummaries:
     def test_mean_frozen(self):
         assert mean(MAJ3) == 0.0
-        assert mean(from_values(1, [1, 1])) == 1.0
-        assert mean(from_values(2, [1, -1, -1, -1])) == -0.5
+        assert mean(BooleanFunction(1, [1, 1])) == 1.0
+        assert mean(BooleanFunction(2, [1, -1, -1, -1])) == -0.5
 
     def test_distance_to_dictator_frozen(self):
-        dictator = from_values(3, parity_values(3, 0b001))
-        assert distance(MAJ3, dictator) == 0.25
-        assert distance(MAJ3, MAJ3) == 0.0
-
-    def test_distance_rejects_arity_mismatch(self):
-        with pytest.raises(InvalidInputError, match="mismatch"):
-            distance(MAJ3, from_values(1, [1, -1]))
+        # The oracle of the distances extractions report, at frozen values.
+        assert junta_distance(MAJ3.values, [1, -1], 0b001, 3) == 0.25
+        assert junta_distance(MAJ3.values, MAJ3.values, 0b111, 3) == 0.0
 
     def test_majority_oracle_agrees_with_call(self):
-        f = from_values(5, majority_values(5))
+        f = BooleanFunction(5, majority_values(5))
         point = np.array([1, 1, -1, -1, 1])
         assert f(point) == 1
 
 
 class TestJuntaPredicate:
     def test_dictator_masks(self):
-        dictator = from_values(3, parity_values(3, 0b010))
+        dictator = BooleanFunction(3, parity_values(3, 0b010))
         assert is_junta_on(dictator, 0b010)
         assert is_junta_on(dictator, 0b011)
         assert not is_junta_on(dictator, 0b101)
@@ -154,7 +155,7 @@ class TestJuntaPredicate:
         assert not is_junta_on(MAJ3, 0b011)
 
     def test_constant_is_junta_on_nothing(self):
-        assert is_junta_on(from_values(2, [1, 1, 1, 1]), 0)
+        assert is_junta_on(BooleanFunction(2, [1, 1, 1, 1]), 0)
 
 
 class TestRandomAndIo:

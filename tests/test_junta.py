@@ -15,10 +15,7 @@ from hsf import (
     TheoremConfig,
     bias_profile,
     canonicalize,
-    distance,
-    embed_junta,
     extract_junta,
-    from_values,
     head_projection,
     junta_budget,
     premise_bound,
@@ -29,7 +26,7 @@ from hsf import (
 )
 from hsf.fncore import MAX_ARITY_CAP
 
-from _oracles import is_junta_on
+from _oracles import is_junta_on, junta_distance, slow_embed_junta
 
 EPS = 0.25
 WIDE_DELTA = 0.62  # small enough premise, large enough to dodge the small-delta guard
@@ -107,40 +104,34 @@ class TestHeadConstructions:
     def test_best_junta_is_exhaustively_optimal(self):
         f = random_function(4, seed=97)
         head = 0b0101
-        best = from_values(2, np.where(bias_profile(f, head) >= 0, 1, -1))
-        best_dist = distance(f, embed_junta(best, head, 4))
+        best = np.where(bias_profile(f, head) >= 0, 1, -1)
+        best_dist = junta_distance(f.values, best, head, 4)
         for bits in range(1 << 4):
-            candidate = from_values(
-                2, [1 if (bits >> i) & 1 else -1 for i in range(4)]
-            )
-            rival = distance(f, embed_junta(candidate, head, 4))
+            candidate = [1 if (bits >> i) & 1 else -1 for i in range(4)]
+            rival = junta_distance(f.values, candidate, head, 4)
             assert best_dist <= rival + 1e-15
 
     def test_head_projection_mixed_blocks(self):
         # Block x0=+1 is balanced, block x0=-1 is constant -1.
-        f = from_values(3, [1, -1, 1, -1, -1, -1, -1, -1])
+        f = BooleanFunction(3, [1, -1, 1, -1, -1, -1, -1, -1])
         loose = head_projection(f, head=0b001, delta=0.6)
         assert loose.certified
         assert loose.frac_unbiased == 0.5
         assert loose.residual_sq == pytest.approx(0.0, abs=1e-15)
         assert np.array_equal(loose.approximator.values, [1, -1])
-        lifted = embed_junta(loose.approximator, 0b001, 3)
-        assert distance(f, lifted) == 0.25 <= 3 * 0.6
+        assert junta_distance(f.values, loose.approximator.values, 0b001, 3) == 0.25 <= 3 * 0.6
         tight = head_projection(f, head=0b001, delta=0.3)
         assert not tight.certified and tight.frac_unbiased == 0.5
 
     def test_head_projection_frac_unbiased_boundaries(self):
         # Head 0b11 blocks, by packed index, have biases 0, 0.5, -1 and 1.
         blocks = [[1, -1, 1, -1], [1, 1, 1, -1], [-1, -1, -1, -1], [1, 1, 1, 1]]
-        f = from_values(4, [blocks[row & 0b11][row >> 2] for row in range(16)])
+        f = BooleanFunction(4, [blocks[row & 0b11][row >> 2] for row in range(16)])
         np.testing.assert_array_equal(bias_profile(f, 0b11), [0.0, 0.5, -1.0, 1.0])
         # |bias| = 1 - delta counts as unbiased; delta = 1 leaves only bias 0.
         assert head_projection(f, 0b11, 0.5).frac_unbiased == 0.5
         assert head_projection(f, 0b11, 1.0).frac_unbiased == 0.25
         assert head_projection(f, 0b11, 0.3).frac_unbiased == 0.5
-        np.testing.assert_array_equal(
-            head_projection(f, 0b11, 0.5).biases, [0.0, 0.5, -1.0, 1.0]
-        )
 
     def test_head_projection_delta_range(self):
         f = random_function(3, seed=2)
@@ -257,9 +248,10 @@ class TestCaseRouting:
         lt = canonicalize(0.6 ** np.arange(1, 19), 0.0)
         report = extract_junta(lt, EPS, HUGE_DELTA)
         table = truth_table(lt)
-        lifted = embed_junta(report.approximator, report.junta_set, table.arity)
-        assert is_junta_on(lifted, report.junta_set)
-        assert distance(table, lifted) == report.distance
+        lifted = slow_embed_junta(report.approximator.values, report.junta_set, table.arity)
+        assert is_junta_on(BooleanFunction(table.arity, lifted), report.junta_set)
+        assert junta_distance(table.values, report.approximator.values, report.junta_set,
+                              table.arity) == report.distance
 
     def test_dropped_coordinates_never_enter_junta(self):
         lt = canonicalize([0.0, 0.6, 0.36, 0.216, 0.0, 0.1296], 0.0)
@@ -312,14 +304,19 @@ class TestCapsAndValidation:
 class TestVerdicts:
     REPORT = extract_junta(canonicalize(np.ones(16), 8.0), EPS, WIDE_DELTA)
 
+    def _at_delta(self, delta):
+        # The report with its diagnostics claiming another delta.
+        diagnostics = dataclasses.replace(self.REPORT.diagnostics, delta=delta)
+        return dataclasses.replace(self.REPORT, diagnostics=diagnostics)
+
     def test_delta_override(self):
-        assert theorem_verify(self.REPORT, delta=0.05).passed
-        weak = theorem_verify(self.REPORT, delta=0.03)
+        assert theorem_verify(self._at_delta(0.05)).passed
+        weak = theorem_verify(self._at_delta(0.03))
         assert not weak.passed and weak.label == "fail"
 
     def test_delta_validation(self):
         with pytest.raises(InvalidInputError):
-            theorem_verify(self.REPORT, delta=0.0)
+            theorem_verify(self._at_delta(0.0))
 
     def test_distance_guard(self):
         bad = dataclasses.replace(self.REPORT, distance=0.9)

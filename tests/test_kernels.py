@@ -1,21 +1,22 @@
 """Per-instance kernels against their slow routes, byte for byte, and aliasing.
 
 The fast kernels (doubling truth tables, doubling popcounts, single-bincount
-degree weights, cube-view restriction, broadcast junta embedding, axis-sum bias
-profiles) promise the same floating-point addition sequence, or the same
-gathered rows, as the slow routes in ``_oracles``, so equality is asserted on
-``tobytes()``, never with a tolerance.  Arities reach 18 so the 2**16-entry
-chunking boundary is crossed.  The transform, one float32 Kronecker pass with
-the 64 x 64 Hadamard matrix per six bits, must match the float64 butterfly
-divided by 2**n exactly up to arity 22, and the exact spectrum at arity 24,
-where its sums reach 2**24, the end of float32's exact integers.  The degree
-weights of its spectra, by a route exact for +-1 tables, must equal one plain
-bincount, and the transform and those weights must stay within their memory
-bounds.  The distance an extraction reads from block counts must equal, byte
-for byte, the distance of its junta lifted to the full table, in every case.  A prepared instance is built in
-sorted-position order, and everything an extraction reads from it must equal,
-byte for byte, the same value read from the input-order table, and an
-instance reused across (eps, delta) cells must report what fresh ones do.
+degree weights, cube-view restriction, axis-sum bias profiles) promise the
+same floating-point addition sequence, or the same gathered rows, as the slow
+routes in ``_oracles``, so equality is asserted on ``tobytes()``, never with a
+tolerance.  Arities reach 18 so the 2**16-entry chunking boundary is crossed.
+The transform, one float32 Kronecker pass with the 64 x 64 Hadamard matrix
+per six bits, must match the float64 butterfly divided by 2**n exactly up to
+arity 22, and the exact spectrum at arity 24, where its sums reach 2**24, the
+end of float32's exact integers.  The degree weights of its spectra, by a
+route exact for +-1 tables, must equal one plain bincount, and the transform
+and those weights must stay within their memory bounds.  The distance an
+extraction reads from block counts must equal, byte for byte, the distance of
+its junta lifted to the full table by the bit-loop oracle, in every case.  A
+prepared instance is built in sorted-position order, and everything an
+extraction reads from it must equal, byte for byte, the same value read from
+the input-order table, and an instance reused across (eps, delta) cells must
+report what fresh ones do.
 """
 
 import tracemalloc
@@ -34,8 +35,6 @@ from hsf import (
     bias_profile,
     canonical_linear_form,
     canonicalize,
-    distance,
-    embed_junta,
     extract_junta,
     head_mask,
     ns_exact,
@@ -53,10 +52,10 @@ from hsf._bits import head_cube, popcounts, spread_table, submasks
 from hsf.fncore import _butterfly
 
 from _oracles import (
+    junta_distance,
     slow_bias_profile,
     slow_butterfly,
     slow_degree_weights,
-    slow_embed_junta,
     slow_linear_form_table,
     slow_popcounts,
     slow_restrict,
@@ -219,16 +218,6 @@ def test_restrict_matches_gather_on_every_head_and_assignment():
     for head in range(1 << 6):
         for index in range(1 << head.bit_count()):
             _check_restrict(f, head, index)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_embed_junta_matches_gather(data):
-    arity = data.draw(st.integers(0, 12))
-    head = data.draw(st.integers(0, (1 << arity) - 1))
-    g = random_function(head.bit_count(), seed=data.draw(st.integers(0, 2**32 - 1)))
-    expected = slow_embed_junta(g.values, head, arity)
-    assert embed_junta(g, head, arity).values.tobytes() == expected.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -444,9 +433,9 @@ _CASE_INPUTS = [
 def _check_distance_against_lift(instance, epsilon, delta, c_l):
     report = extract_junta(instance, epsilon, delta, TheoremConfig(c_l=c_l))
     table = truth_table(instance.ltf)  # instance.table is in sorted-position order
-    lifted = embed_junta(report.approximator, report.junta_set, table.arity)
     assert type(report.distance) is float
-    expected = distance(table, lifted)
+    expected = junta_distance(table.values, report.approximator.values, report.junta_set,
+                              table.arity)
     assert np.float64(report.distance).tobytes() == np.float64(expected).tobytes()
     return report
 
@@ -524,21 +513,6 @@ def test_reused_instance_reports_equal_fresh_ones(args):
         assert repr(got.diagnostics) == repr(want.diagnostics)  # nan-safe, every bit
         event(str(got.case))
     assert "_per_eps" not in repr(reused)
-
-
-def test_extraction_never_lifts_or_compares_tables(monkeypatch):
-    # The lift and the table comparison are the oracle of the tests above, so
-    # no case of the extraction may reach them.
-    def refuse(*args, **kwargs):
-        raise AssertionError("extract_junta reached the 2^n oracle route")
-
-    prepared = [(case, prepare(lt), eps, delta, TheoremConfig(c_l=c_l))
-                for case, lt, eps, delta, c_l, _ in _CASE_INPUTS]
-    monkeypatch.setattr(hsf.restriction, "embed_junta", refuse)
-    monkeypatch.setattr(hsf.fncore, "distance", refuse)
-    assert not hasattr(hsf.junta, "embed_junta") and not hasattr(hsf.junta, "distance")
-    for case, instance, eps, delta, config in prepared:
-        assert str(extract_junta(instance, eps, delta, config).case) == case
 
 
 # Sorted-position instances against the input-order table, at n <= 16 so every

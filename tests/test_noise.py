@@ -8,13 +8,13 @@ import pytest
 
 from hsf import noise
 from hsf import (
+    BooleanFunction,
     CapExceededError,
     InvalidInputError,
     bivariate_rectangle,
     boolean_pair_quadrant_mc,
     canonicalize,
     constant_bound_check,
-    from_values,
     gaussian_cdf,
     gaussian_disagreement,
     gaussian_ns_bound,
@@ -39,7 +39,7 @@ from _oracles import (
     parity_values,
 )
 
-MAJ3_SPECTRUM = wht(from_values(3, majority_values(3)))
+MAJ3_SPECTRUM = wht(BooleanFunction(3, majority_values(3)))
 
 
 class TestParams:
@@ -61,19 +61,19 @@ class TestNoiseSensitivityRoutes:
         )
 
     def test_degree_weights_of_parity(self):
-        spec = wht(from_values(4, parity_values(4, 0b1011)))
+        spec = wht(BooleanFunction(4, parity_values(4, 0b1011)))
         np.testing.assert_allclose(spec.degree_weights, [0, 0, 0, 1, 0], atol=1e-15)
 
     def test_majority3_frozen_value(self):
         assert ns_exact(MAJ3_SPECTRUM, 0.1) == pytest.approx(0.136, abs=1e-12)
 
     def test_dictator_closed_form(self):
-        spec = wht(from_values(3, parity_values(3, 0b001)))
+        spec = wht(BooleanFunction(3, parity_values(3, 0b001)))
         for eps in (0.05, 0.2, 0.5):
             assert ns_exact(spec, eps) == pytest.approx(eps, abs=1e-15)
 
     def test_parity_closed_form(self):
-        spec = wht(from_values(2, parity_values(2, 0b11)))
+        spec = wht(BooleanFunction(2, parity_values(2, 0b11)))
         for eps in (0.05, 0.2, 0.5):
             assert ns_exact(spec, eps) == pytest.approx(
                 2 * eps * (1 - eps), abs=1e-15
@@ -101,10 +101,10 @@ class TestNoiseSensitivityRoutes:
         with pytest.raises(InvalidInputError):
             ns_exact(MAJ3_SPECTRUM, -0.01)
         with pytest.raises(InvalidInputError):
-            ns_bruteforce(from_values(1, [1, -1]), 1.01)
+            ns_bruteforce(BooleanFunction(1, [1, -1]), 1.01)
 
     def test_mc_within_radius_of_exact(self):
-        f = from_values(5, majority_values(5))
+        f = BooleanFunction(5, majority_values(5))
         exact = ns_exact(wht(f), 0.2)
         est = ns_mc(f, 0.2, samples=200_000, seed=51)
         assert abs(est.value - exact) <= est.radius
@@ -113,7 +113,7 @@ class TestNoiseSensitivityRoutes:
     def test_mc_deterministic_and_ltf_compatible(self):
         # A threshold function and its dense table see identical draws.
         lt = canonicalize(np.ones(5), 0.0)
-        table = from_values(5, majority_values(5))
+        table = BooleanFunction(5, majority_values(5))
         a = ns_mc(lt, 0.25, samples=50_000, seed=53)
         b = ns_mc(table, 0.25, samples=50_000, seed=53)
         assert a.value == b.value
