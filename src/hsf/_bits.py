@@ -34,6 +34,18 @@ def read_only(values: np.ndarray) -> np.ndarray:
     return values
 
 
+def adopt(cls, **fields):
+    """A ``cls`` instance holding ``fields`` as given, arrays made read-only.
+
+    For frozen dataclasses built from fresh arrays that nothing else
+    references: their ``__post_init__`` checks and defensive copies are skipped.
+    """
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, read_only(value) if isinstance(value, np.ndarray) else value)
+    return obj
+
+
 def check_signs(values: np.ndarray, message: str) -> None:
     """InvalidInputError(message) unless every entry is an int or float +1 or -1."""
     if values.dtype.kind not in "iuf" or not np.all(np.abs(values) == 1):

@@ -11,7 +11,9 @@ The transform uses H(2**n) = H(2**r) (x) H(64) (x) ... (x) H(64), r = n mod 6
 first, is one batched float32 product with the 64 x 64 Hadamard matrix (its
 leading 2**r block for the top group).  Every operand and every partial sum
 is an integer of magnitude at most 2**n <= 2**24, and float32 holds every
-such integer, so the sums are exact in any order.
+such integer, so the sums are exact in any order.  The passes alternate
+between the two float32 halves of the float64 result, so the transform holds
+no 2**n array beyond the table and the spectrum: 8 bytes an entry.
 
 All operations are pure and deterministic.  Exact transforms take at most
 64 * ceil(n / 6) multiply-adds per entry and are guarded by an arity cap
@@ -137,11 +139,11 @@ def _butterfly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _hadamard_pass(src: np.ndarray, dst: np.ndarray, width: int, stride: int) -> None:
-    # dst = H(width) applied along the bits [log2 stride, log2(stride * width))
-    # of src: batches of products of at most _MACS multiply-adds each, at most
-    # _CHUNK entries a np.matmul call.
-    h = _H64[:width, :width]
+def _hadamard_pass(src: np.ndarray, dst: np.ndarray, h: np.ndarray, stride: int) -> None:
+    # dst = the symmetric width x width matrix h applied along the bits
+    # [log2 stride, log2(stride * width)) of src: batches of products of at
+    # most _MACS multiply-adds each, at most _CHUNK entries a np.matmul call.
+    width = len(h)
     span = min(_CHUNK // width, _MACS // width**2)  # vectors per product
     if stride == 1:  # rows times the symmetric matrix
         span = min(span, src.size // width)
@@ -161,22 +163,27 @@ def _hadamard_pass(src: np.ndarray, dst: np.ndarray, width: int, stride: int) ->
             np.matmul(h, x[b:b + blocks, c:c + cols], out=y[b:b + blocks, c:c + cols])
 
 
-def _hadamard_sums(values: np.ndarray, n: int) -> np.ndarray:
-    # Unnormalized float64 transform of a 2**n-entry int8 table.  The passes
-    # alternate between the float32 view of the result's first half and one
-    # float32 spare, so the last pass reads the spare and writes the result;
-    # the spare and every view die when this returns.
+def _hadamard_coefficients(values: np.ndarray, n: int) -> np.ndarray:
+    # Float64 Fourier coefficients of a 2**n-entry int8 table.  The passes
+    # alternate between the two float32 halves of the result; the last writes
+    # the upper half, with 2**-n folded into its matrix (exact: every sum is an
+    # integer of magnitude at most 2**24 times 2**-n).  The upper half is then
+    # widened in place, bottom up, one chunk at a time: entry j lands on the
+    # float32 slots 2j and 2j + 1, below every entry after j still to be read.
     widths = [64] * (n // 6)
     if n % 6 or not widths:
         widths.append(1 << n % 6)
-    sums = np.empty(values.size)
-    buffers = (sums.view(np.float32)[:values.size], np.empty(values.size, dtype=np.float32))
+    coeffs = np.empty(values.size)
+    halves = coeffs.view(np.float32).reshape(2, -1)
     src, stride = values, 1
     for later, width in zip(range(len(widths) - 1, -1, -1), widths):
-        dst = buffers[later % 2] if later else sums
-        _hadamard_pass(src, dst, width, stride)
+        h = _H64[:width, :width] if later else _H64[:width, :width] * np.float32(2.0 ** -n)
+        dst = halves[1 - later % 2]
+        _hadamard_pass(src, dst, h, stride)
         src, stride = dst, stride * width
-    return sums
+    for lo in range(0, values.size, _CHUNK):
+        coeffs[lo:lo + _CHUNK] = src[lo:lo + _CHUNK]
+    return coeffs
 
 
 def _table_degree_weights(coefficients: np.ndarray, n: int) -> np.ndarray:
@@ -216,23 +223,16 @@ def wht(f: BooleanFunction) -> FourierSpectrum:
     """Fourier coefficients of ``f`` via the fast transform.
 
     One exact float32 Kronecker pass per six bits (see the module docstring),
-    the last written into the float64 result, which is then scaled by 2**-n in
-    place: exact, so each coefficient equals the exact integer sum divided by
-    2**n bit for bit.  The spectrum's ``degree_weights`` take a route exact
-    for +-1 tables, with the same bytes as for any other spectrum.
+    the last scaled by 2**-n and widened to the float64 result: exact, so each
+    coefficient equals the exact integer sum divided by 2**n bit for bit.  The
+    spectrum's ``degree_weights`` take a route exact for +-1 tables, with the
+    same bytes as for any other spectrum.
 
     Raises CapExceededError for arities above MAX_ARITY_CAP (24), where the
     float32 sums would round.
     """
     n = check_cap("arity", f.arity, MAX_ARITY_CAP)
-    coeffs = _hadamard_sums(f.values, n)
-    coeffs *= 2.0 ** -n
-    # Nothing else references this fresh array, so FourierSpectrum's
-    # defensive copy is skipped by setting the fields directly.
-    spectrum = object.__new__(_TableSpectrum)
-    object.__setattr__(spectrum, "arity", n)
-    object.__setattr__(spectrum, "coefficients", _bits.read_only(coeffs))
-    return spectrum
+    return _bits.adopt(_TableSpectrum, arity=n, coefficients=_hadamard_coefficients(f.values, n))
 
 
 def synthesize(spectrum: FourierSpectrum) -> np.ndarray:
@@ -253,7 +253,8 @@ def random_function(arity: int, seed, cap: int = DEFAULT_ARITY_CAP) -> BooleanFu
     """Uniformly random +-1 table; identical seeds give identical tables."""
     cap = check_int("cap", cap, 0, MAX_ARITY_CAP)
     arity = check_cap("arity", check_int("arity", arity, 0), cap)
-    rng = _bits.rng(seed)
-    values = rng.integers(0, 2, size=1 << arity, dtype=np.int8) * 2 - 1
-    return BooleanFunction(arity, values)
+    values = _bits.rng(seed).integers(0, 2, size=1 << arity, dtype=np.int8)
+    values *= 2
+    values -= 1
+    return _bits.adopt(BooleanFunction, arity=arity, values=values)
 

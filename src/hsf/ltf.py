@@ -9,9 +9,14 @@ Sorted positions are 1-based in user-facing indices (critical index, head
 sizes); arrays underneath are 0-based as usual.  All evaluation paths
 accumulate the linear form left to right over sorted positions, so the dense
 truth table and pointwise evaluation agree bit for bit.  The dense table is
-built by doubling over sorted positions: after position p the array holds
-every partial sum over positions 0..p, each reached by that same left-to-right
-sequence of additions; :func:`truth_table` transposes it to input bit order.
+built in blocks of 2**16 entries, one sorted position per index bit: the low
+16 positions fill one row by doubling, and row i + 1 holds row i +- the weight
+at position 16 + i, so every entry is reached by that same left-to-right
+sequence of additions.  Blocks are visited in bit-reversed order of their
+high bits, so consecutive blocks share every row below their lowest differing
+bit, and each block is compared with theta straight into the table's signs:
+beyond the table, the build holds one row per high bit.  :func:`truth_table`
+transposes the table to input bit order.
 """
 
 from __future__ import annotations
@@ -27,6 +32,9 @@ from .errors import DegenerateLtfError, InvalidInputError, check_cap, check_int,
 from .fncore import DEFAULT_ARITY_CAP, MAX_ARITY_CAP, BooleanFunction
 
 INFINITE_INDEX = math.inf
+
+# Sorted positions per block of the linear form; a block row is 512 KiB.
+_BLOCK_BITS = 16
 
 
 @dataclass(frozen=True)
@@ -132,8 +140,8 @@ def linear_form(ltf: Ltf, x: np.ndarray) -> np.ndarray:
 def truth_table(ltf: Ltf, cap: int = DEFAULT_ARITY_CAP) -> BooleanFunction:
     """Dense table over all n_inputs variables (dropped coordinates ignored)."""
     by_position = canonical_table(ltf, cap).values[:1 << ltf.n_active]
-    return BooleanFunction(ltf.n_inputs, _bits.spread_table(by_position, ltf.original_index,
-                                                            ltf.n_inputs))
+    return _bits.adopt(BooleanFunction, arity=ltf.n_inputs, values=_bits.spread_table(
+        by_position, ltf.original_index, ltf.n_inputs))
 
 
 def canonical_table(ltf: Ltf, cap: int = DEFAULT_ARITY_CAP) -> BooleanFunction:
@@ -142,33 +150,55 @@ def canonical_table(ltf: Ltf, cap: int = DEFAULT_ARITY_CAP) -> BooleanFunction:
     The dropped coordinates take the top bits in ascending order, and the
     table ignores them: :func:`truth_table` with its variables renamed.
     """
-    # The signs are written in place over the comparison.  For finite doubles
-    # a - b >= 0 exactly when a >= b: a difference is zero only when a == b.
-    signs = np.greater_equal(canonical_linear_form(ltf, cap), ltf.theta).view(np.int8)
-    signs *= 2
-    signs -= 1
-    if ltf.dropped:
-        signs = np.tile(signs, 1 << len(ltf.dropped))
-    return BooleanFunction(ltf.n_inputs, signs)
+    check_cap("arity", ltf.n_inputs, check_int("cap", cap, 0, MAX_ARITY_CAP))
+    signs = np.empty(1 << ltf.n_inputs, dtype=np.int8)
+    # For finite doubles a - b >= 0 exactly when a >= b: a difference is zero
+    # only when a == b.  The signs are written in place over the comparison.
+    for lo, row in _linear_form_blocks(ltf):
+        block = signs[lo:lo + row.size]
+        np.greater_equal(row, ltf.theta, out=block.view(np.bool_))
+        block *= 2
+        block -= 1
+    signs.reshape(-1, 1 << ltf.n_active)[1:] = signs[:1 << ltf.n_active]
+    return _bits.adopt(BooleanFunction, arity=ltf.n_inputs, values=signs)
 
 
 def canonical_linear_form(ltf: Ltf, cap: int = DEFAULT_ARITY_CAP) -> np.ndarray:
     """w . x over the active coordinates, indexed by sorted position.
 
     Bit p of the index set means the coordinate at position p is -1, as in
-    :func:`canonical_table`.  Position p doubles the filled prefix, so every
-    entry is 0 +- w_0 +- w_1 ... summed left to right, exactly as
-    :func:`linear_form` does.
+    :func:`canonical_table`, and every entry is 0 +- w_0 +- w_1 ... summed
+    left to right, exactly as :func:`linear_form` does.
     """
     check_cap("arity", ltf.n_inputs, check_int("cap", cap, 0, MAX_ARITY_CAP))
     acc = np.empty(1 << ltf.n_active)
-    acc[0] = 0.0
-    s = 1
-    for w in ltf.weights:
-        np.subtract(acc[:s], w, out=acc[s:2 * s])
-        np.add(acc[:s], w, out=acc[:s])
-        s *= 2
+    for lo, row in _linear_form_blocks(ltf):
+        acc[lo:lo + row.size] = row
     return acc
+
+
+def _linear_form_blocks(ltf: Ltf):
+    # Yields (lo, row): row holds the linear form at entries lo, lo + 1, ...
+    # of canonical_linear_form, one block of 2**16 (or all 2**n_active) at a
+    # time; see the module docstring.  Each row is overwritten after its yield.
+    w = ltf.weights
+    low = min(w.size, _BLOCK_BITS)
+    high = w.size - low
+    rows = np.empty((high + 1, 1 << low))
+    first = rows[0]
+    first[0] = 0.0
+    s = 1
+    for x in w[:low]:  # doubling: bit p of the index set subtracts w_p
+        np.subtract(first[:s], x, out=first[s:2 * s])
+        np.add(first[:s], x, out=first[:s])
+        s *= 2
+    prev = 1  # differs from block 0 in bit 0, so block 0 fills every row
+    for c in range(1 << high):
+        b = int(format(c, f"0{high}b")[::-1], 2)
+        diff, prev = b ^ prev, b
+        for i in range((diff & -diff).bit_length() - 1, high):
+            (np.subtract if b >> i & 1 else np.add)(rows[i], w[low + i], out=rows[i + 1])
+        yield b << low, rows[high]
 
 
 def regularity_profile(ltf: Ltf) -> RegularityProfile:

@@ -85,16 +85,17 @@ def hoeffding_radius(samples: int) -> float:
 
 def _mc_estimate(samples: int, seed, hits) -> McEstimate:
     # Mean of the boolean arrays hits(rng, m) over ``samples`` draws: one
-    # generator, _MC_CHUNK draws a chunk, so a seed fixes the estimate.  A
-    # chunk's hit array, allocated last, lives until the next one exists:
-    # freed first, it let glibc trim the heap and each chunk fault its pages
-    # in again (2M samples of gaussian_ns_mc: 850 -> 15,000 faults, +20% time).
+    # generator, _MC_CHUNK draws a chunk, so a seed fixes the estimate.  Each
+    # chunk's hit array is freed once counted: keeping it alive until the next
+    # exists, against glibc heap trimming, faulted more pages, not fewer (fresh
+    # `hsf gaussian --samples 2000000`: 6,310 against 6,050, and 1 MiB more
+    # peak RSS; a library process without the command's heap thresholds:
+    # 6,943 against 6,674).
     radius = hoeffding_radius(samples)
     rng = _bits.rng(seed)
     total = 0
     for done in range(0, samples, _MC_CHUNK):
-        chunk = hits(rng, min(_MC_CHUNK, samples - done))
-        total += int(np.count_nonzero(chunk))
+        total += int(np.count_nonzero(hits(rng, min(_MC_CHUNK, samples - done))))
     return McEstimate(value=total / samples, samples=samples, radius=radius)
 
 

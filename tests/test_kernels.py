@@ -1,16 +1,19 @@
 """Per-instance kernels against their slow routes, byte for byte, and aliasing.
 
-The fast kernels (doubling truth tables, doubling popcounts, single-bincount
-degree weights, cube-view restriction, axis-sum bias profiles) promise the
-same floating-point addition sequence, or the same gathered rows, as the slow
-routes in ``_oracles``, so equality is asserted on ``tobytes()``, never with a
-tolerance.  Arities reach 18 so the 2**16-entry chunking boundary is crossed.
-The transform, one float32 Kronecker pass with the 64 x 64 Hadamard matrix
-per six bits, must match the float64 butterfly divided by 2**n exactly up to
-arity 22, and the exact spectrum at arity 24, where its sums reach 2**24, the
-end of float32's exact integers.  The degree weights of its spectra, by a
-route exact for +-1 tables, must equal one plain bincount, and the transform
-and those weights must stay within their memory bounds.  The distance an
+The fast kernels (truth tables built in 2**16-entry blocks, doubling
+popcounts, single-bincount degree weights, cube-view restriction, axis-sum
+bias profiles) promise the same floating-point addition sequence, or the same
+gathered rows, as the slow routes in ``_oracles``, so equality is asserted on
+``tobytes()``, never with a tolerance.  Arities reach 18 so the 2**16-entry
+chunking boundary is crossed, and fixed cases with 17 and 21 active
+coordinates run the table's block path with one and five high bits.  The
+transform, one float32 Kronecker pass with the 64 x 64 Hadamard matrix per six
+bits inside the two halves of its float64 result, must match the float64
+butterfly divided by 2**n exactly up to arity 22, and the exact spectrum at
+arity 24, where its sums reach 2**24, the end of float32's exact integers.
+The degree weights of its spectra, by a route exact for +-1 tables, must equal
+one plain bincount, and the table, the transform and those weights must stay
+within their memory bounds.  The distance an
 extraction reads from block counts must equal, byte for byte, the distance of
 its junta lifted to the full table by the bit-loop oracle, in every case.  A
 prepared instance is built in sorted-position order, and everything an
@@ -34,6 +37,7 @@ from hsf import (
     TheoremConfig,
     bias_profile,
     canonical_linear_form,
+    canonical_table,
     canonicalize,
     extract_junta,
     head_mask,
@@ -69,6 +73,12 @@ MAX_N = 18
 # and a threshold on an exact tie row.
 _WIDE_W = np.r_[np.full(6, 0.7), 0.0, np.arange(1, 10) * 0.1, 0.0, 2.1]
 _WIDE = (_WIDE_W, float(np.dot(_WIDE_W, np.resize([1.0, -1.0, -1.0], MAX_N))))
+# The table's block path: 17 active coordinates (one high bit) with one
+# dropped, and 21 (five high bits) with one dropped and a threshold on an
+# exact tie row.
+_BLOCK17 = (np.r_[np.full(6, 0.7), 0.0, np.arange(1, 12) * 0.1], 0.37)
+_BLOCK21_W = np.r_[np.full(7, 0.7), 0.0, np.arange(1, 14) * 0.1, 2.1]
+_BLOCK21 = (_BLOCK21_W, float(np.dot(_BLOCK21_W, np.resize([1.0, -1.0, -1.0], 22))))
 
 
 @st.composite
@@ -101,21 +111,25 @@ def weights_and_theta(draw, max_n=MAX_N):
 @settings(max_examples=60, deadline=None)
 @given(weights_and_theta())
 @example(_WIDE)
+@example(_BLOCK17)
+@example(_BLOCK21)
 def test_linear_form_table_matches_blockwise_loop(wt):
     lt = canonicalize(*wt)
     m = lt.n_active
     slow = slow_linear_form_table(lt.weights, np.arange(m), m)
-    assert canonical_linear_form(lt, cap=MAX_N).tobytes() == slow.tobytes()
+    assert canonical_linear_form(lt, cap=lt.n_inputs).tobytes() == slow.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
 @given(weights_and_theta())
 @example(_WIDE)
+@example(_BLOCK17)
+@example(_BLOCK21)
 def test_truth_table_matches_blockwise_loop(wt):
     lt = canonicalize(*wt)
     slow = slow_linear_form_table(lt.weights, lt.original_index, lt.n_inputs)
     expected = np.where(slow - lt.theta >= 0.0, 1, -1).astype(np.int8)
-    assert truth_table(lt, cap=MAX_N).values.tobytes() == expected.tobytes()
+    assert truth_table(lt, cap=lt.n_inputs).values.tobytes() == expected.tobytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -271,6 +285,14 @@ def test_wht_tiles_match_float64_butterfly(n):
     assert wht(f).coefficients.tobytes() == _wht_oracle(f).tobytes()
 
 
+@pytest.mark.parametrize("n", [18, 19])
+def test_wht_widening_matches_float64_butterfly(n):
+    # Three and four passes, so the last pass reads either half of the result,
+    # and a widening of several chunks.
+    f = random_function(n, seed=n, cap=n)
+    assert wht(f).coefficients.tobytes() == _wht_oracle(f).tobytes()
+
+
 @pytest.mark.parametrize("n", [16, 20, 22])
 def test_wht_tiles_match_float64_butterfly_at_large_arity(n):
     f = random_function(n, seed=n, cap=n)
@@ -334,11 +356,26 @@ def test_wht_products_stay_under_the_blas_threading_cutoff(monkeypatch):
         assert rows * inner * cols <= 1 << 18 and entries <= 1 << 16
 
 
+def test_canonical_table_stays_within_its_memory_bound():
+    # The table holds its int8 signs and one 2**16-entry float64 row per high
+    # bit, plus the first: n_active - 15 rows of 512 KiB.  A whole-table
+    # linear form, comparison or validation copy breaks the bound.
+    n = 20
+    lt = random_ltf(n, "gaussian", theta_law="gaussian:1", seed=n)
+    tracemalloc.start()
+    try:
+        canonical_table(lt, cap=n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= (1 << n) + (lt.n_active - 15) * (1 << 19) + (1 << 20)
+
+
 def test_wht_and_degree_weights_stay_within_memory_bounds():
-    # The transform holds its float64 result and one float32 spare: 12 bytes an
-    # entry.  A second float32 buffer, or a buffer kept alive by a view that
-    # outlives its pass, breaks the first bound; squaring the whole spectrum
-    # at once breaks the second.
+    # The transform runs inside its float64 result: 8 bytes an entry.  A
+    # float32 spare, or a buffer kept alive by a view that outlives its pass,
+    # breaks the first bound; squaring the whole spectrum at once breaks the
+    # second.
     n = 20
     f = random_function(n, seed=n)
     tracemalloc.start()
@@ -351,7 +388,7 @@ def test_wht_and_degree_weights_stay_within_memory_bounds():
         _, fill_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert wht_peak <= 12 * (1 << n) + (1 << 20)
+    assert wht_peak <= 8 * (1 << n) + (1 << 20)
     assert fill_peak - before <= 1 << 20
 
 
