@@ -75,11 +75,6 @@ def rng(seed) -> np.random.Generator:
             f"got {seed!r}") from None
 
 
-def popcount(mask: int) -> int:
-    """Number of set bits of a nonnegative int."""
-    return int(mask).bit_count()
-
-
 def bit_positions(mask: int) -> list[int]:
     """Set-bit positions of ``mask`` in ascending order."""
     return [j for j in range(int(mask).bit_length()) if (mask >> j) & 1]
@@ -108,6 +103,19 @@ def head_cube(table: np.ndarray, positions: Sequence[int], n: int) -> np.ndarray
     """
     head = [n - 1 - p for p in reversed(positions)]
     return table.reshape((2,) * n).transpose(head + [a for a in range(n) if a not in head])
+
+
+def head_sums(table: np.ndarray, positions: Sequence[int], n: int) -> np.ndarray:
+    """Exact int64 sum of every :func:`head_cube` row of ``table``, by packed index.
+
+    The bits above the highest position are summed first, in rows of at least
+    2**10 entries as numpy sums many short rows slowly; exact in any order.
+    """
+    low = max(int(max(positions, default=-1)) + 1, min(n, 10))
+    if low < n:
+        table = table.reshape(-1, 1 << low).sum(axis=0, dtype=np.int64)
+    return head_cube(table, positions, low).reshape(1 << len(positions), -1).sum(
+        axis=1, dtype=np.int64)
 
 
 def spread_table(table: np.ndarray, positions: Sequence[int], n: int) -> np.ndarray:

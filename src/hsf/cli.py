@@ -113,30 +113,12 @@ def _floats(raw: str, flag: str) -> list[float]:
     return values
 
 
-def _families(raw: str) -> list[tuple[str, float | None]]:
-    out: list[tuple[str, float | None]] = []
-    for token in raw.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        name, sep, rate_text = token.partition(":")
-        if name in ("geometric", "geometric-decay"):
-            if not sep:
-                raise InvalidInputError(
-                    f"family {token!r} needs a rate, e.g. geometric:0.5"
-                )
-            try:
-                rate = float(rate_text)
-            except ValueError:
-                raise InvalidInputError(f"bad rate in family {token!r}") from None
-            out.append((name, rate))
-        elif sep:
-            raise InvalidInputError(f"family {name!r} takes no parameter")
-        else:
-            out.append((name, None))
-    if not out:
+def _families(raw: str) -> list[tuple[str, str | None]]:
+    # (name, rate text or None) per 'name' or 'name:rate'; random_ltf judges both.
+    tokens = [token.strip().partition(":") for token in raw.split(",") if token.strip()]
+    if not tokens:
         raise InvalidInputError("--families must name at least one family")
-    return out
+    return [(name, rate if sep else None) for name, sep, rate in tokens]
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -262,6 +244,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # Every argument a cell checks, checked before the first table.
     for family, rate in families:
         random_ltf(args.n, family, rate=rate, theta_law=args.theta_law, seed=0)
+    families = [(family, rate if rate is None else float(rate)) for family, rate in families]
     for eps in epsilons:
         for delta in deltas:
             junta_budget(eps, delta, config.c_l)
@@ -290,6 +273,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
+def _gaussian_row(theta: float, eps: float, samples: int, seed) -> tuple:
+    # (theta, rho, bound, mc value, mc radius, holds): the Monte Carlo Gaussian
+    # disagreement at rho = 1 - 2 eps against its closed-form lower bound.
+    rho = 1.0 - 2.0 * eps
+    bound = gaussian_ns_bound(theta, eps)
+    est = gaussian_ns_mc(theta, rho, samples, seed=seed)
+    return theta, rho, bound, est.value, est.radius, est.value >= bound - 4.0 * est.radius
+
+
 def cmd_gaussian(args: argparse.Namespace) -> int:
     thetas = _floats(args.theta, "--theta")
     epsilons = _floats(args.epsilon, "--epsilon")
@@ -298,12 +290,8 @@ def cmd_gaussian(args: argparse.Namespace) -> int:
     k = 0
     for theta in thetas:
         for eps in epsilons:
-            rho = 1.0 - 2.0 * eps
-            bound = gaussian_ns_bound(theta, eps)
-            est = gaussian_ns_mc(theta, rho, args.samples, seed=[args.seed, k])
-            holds = est.value >= bound - 4.0 * est.radius
-            failed = failed or not holds
-            rows.append((theta, rho, bound, est.value, est.radius, holds))
+            rows.append(_gaussian_row(theta, eps, args.samples, [args.seed, k]))
+            failed = failed or not rows[-1][5]
             k += 1
     _emit_csv(args, _GAUSSIAN_HEADER, rows)
     return 1 if failed else 0
@@ -393,11 +381,8 @@ def cmd_checks(args: argparse.Namespace) -> int:
     # Monte Carlo Gaussian disagreement against the closed-form lower bound.
     for theta in (0.0, 1.0):
         for eps in (0.05, 0.5):
-            rho = 1.0 - 2.0 * eps
-            bound = gaussian_ns_bound(theta, eps)
-            est = gaussian_ns_mc(theta, rho, args.samples, seed=[args.seed, k])
-            add("gaussian-lower-bound", k, est.value, bound,
-                est.value - bound, est.value >= bound - 4.0 * est.radius)
+            _, _, bound, value, _, holds = _gaussian_row(theta, eps, args.samples, [args.seed, k])
+            add("gaussian-lower-bound", k, value, bound, value - bound, holds)
             k += 1
 
     _emit_csv(args, _CHECKS_HEADER, rows)
@@ -413,6 +398,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=None, help="write the CSV here")
     common.add_argument("--quiet", action="store_true",
                         help="suppress stdout reports")
+    theorem = argparse.ArgumentParser(add_help=False)
+    theorem.add_argument("--c-ns", type=float, default=1.0, dest="c_ns")
+    theorem.add_argument("--c-l", type=float, default=1.0, dest="c_l")
 
     parser = argparse.ArgumentParser(
         prog="hsf",
@@ -428,16 +416,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilons", default=_ANALYZE_EPSILONS)
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("junta", parents=[common],
+    p = sub.add_parser("junta", parents=[common, theorem],
                        help="extract a junta approximator and verify it")
     p.add_argument("--ltf", required=True)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--c-ns", type=float, default=1.0, dest="c_ns")
-    p.add_argument("--c-l", type=float, default=1.0, dest="c_l")
     p.set_defaults(func=cmd_junta)
 
-    p = sub.add_parser("sweep", parents=[common],
+    p = sub.add_parser("sweep", parents=[common, theorem],
                        help="bulk extraction over random instance families")
     p.add_argument("--families", required=True,
                    help="comma list: equal, gaussian, geometric:<rate>")
@@ -446,8 +432,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilons", default=_SWEEP_EPSILONS)
     p.add_argument("--deltas", default=_SWEEP_DELTAS)
     p.add_argument("--theta-law", default="gaussian:1", dest="theta_law")
-    p.add_argument("--c-ns", type=float, default=1.0, dest="c_ns")
-    p.add_argument("--c-l", type=float, default=1.0, dest="c_l")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("gaussian", parents=[common],

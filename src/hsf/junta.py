@@ -107,7 +107,7 @@ class JuntaReport:
 
     @property
     def junta_size(self) -> int:
-        return _bits.popcount(self.junta_set)
+        return self.junta_set.bit_count()
 
 
 @dataclass(frozen=True)
@@ -156,17 +156,15 @@ class Instance:
     def head_biases(self, size: int) -> np.ndarray:
         """E[f] on every assignment of sorted positions 1..size (read-only).
 
-        Equal, value for value and in order, to ``bias_profile(truth_table(ltf),
-        head_mask(ltf, size))``: exact int64 block sums, reindexed to packed
-        order.  Unlike bias_profile it applies no head cap.
+        ``bias_profile(truth_table(ltf), head_mask(ltf, size))`` read from the
+        sorted-position table by the same reduction, ``_bits.head_sums``:
+        packed bit j reads the position of the j-th smallest head coordinate.
+        Unlike bias_profile it applies no head cap.
         """
         check_int("size", size, 0, self.ltf.n_active)
         n = self.table.arity
-        # Sum 2**10-entry rows first: numpy sums many short rows slowly.
-        wide = self.table.values.reshape(-1, 1 << max(size, min(n, 10)))
-        sums = wide.sum(axis=0, dtype=np.int64).reshape(-1, 1 << size).sum(axis=0)
-        ranks = np.argsort(np.argsort(self.ltf.original_index[:size]))
-        return _bits.read_only(_bits.spread_table(sums / (1 << (n - size)), ranks, size))
+        sums = _bits.head_sums(self.table.values, np.argsort(self.ltf.original_index[:size]), n)
+        return _bits.read_only(sums / (1 << (n - size)))
 
 
 def prepare(ltf: Ltf, cap: int = DEFAULT_ARITY_CAP) -> Instance:
@@ -326,7 +324,7 @@ def extract_junta(
         small_delta=small_delta,
         critical_idx=ell,
         budget=budget,
-        head_size=_bits.popcount(junta_set),
+        head_size=junta_set.bit_count(),
         guarantee_bound=guarantee,
         frac_unbiased=frac_unbiased,
         residual_sq=residual_sq,

@@ -232,16 +232,6 @@ def head_mask(ltf: Ltf, size: int) -> int:
     return mask
 
 
-_FAMILY_ALIASES = {
-    "equal": "equal",
-    "equal-weights": "equal",
-    "gaussian": "gaussian",
-    "gaussian-weights": "gaussian",
-    "geometric": "geometric",
-    "geometric-decay": "geometric",
-}
-
-
 def parse_theta_law(law: str) -> tuple[str, float]:
     """Parse 'zero', 'fixed:<v>', or 'gaussian:<scale>' into (kind, value)."""
     if not isinstance(law, str):
@@ -275,20 +265,19 @@ def random_ltf(
     weights across theta laws.
     """
     check_int("n", n, 1)
-    kind = _FAMILY_ALIASES.get(family)
-    if kind is None:
-        raise InvalidInputError(
-            f"unknown family {family!r}; expected one of {sorted(set(_FAMILY_ALIASES))}"
-        )
-    if kind == "geometric":
+    if family not in ("equal", "gaussian", "geometric"):
+        raise InvalidInputError(f"unknown family {family!r}; expected equal, gaussian or geometric")
+    if family == "geometric":
+        if rate is None:
+            raise InvalidInputError(f"family {family!r} needs a rate")
         rate = check_range("rate", rate, 0, 1, open_lo=True, open_hi=True)
     elif rate is not None:
         raise InvalidInputError(f"family {family!r} takes no rate")
     law_kind, law_value = parse_theta_law(theta_law)
     rng = _bits.rng(seed)
-    if kind == "equal":
+    if family == "equal":
         weights = np.ones(n)
-    elif kind == "gaussian":
+    elif family == "gaussian":
         weights = rng.standard_normal(n)
         if not np.any(weights != 0.0):
             raise DegenerateLtfError("gaussian draw produced an all-zero vector")
@@ -317,11 +306,12 @@ def save_ltf_file(path, weights, theta: float) -> None:
 
 def load_ltf_file(path) -> Ltf:
     """Read a weights/theta document and return its canonical form."""
-    try:
-        with open(path, "r", encoding="ascii") as fh:
+    with open(path, "r", encoding="ascii") as fh:
+        try:
             doc = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise InvalidInputError(f"not a well-formed ASCII document: {exc}") from None
+        # Bad JSON or bytes and over-long ints are ValueErrors; deep nesting a RecursionError.
+        except (ValueError, RecursionError) as exc:
+            raise InvalidInputError(f"not a well-formed ASCII document: {exc}") from None
     if not isinstance(doc, dict):
         raise InvalidInputError("document must be an object with 'weights' and 'theta'")
     if "weights" not in doc:

@@ -135,7 +135,7 @@ def ns_bruteforce(f: BooleanFunction, epsilon: float) -> float:
     idx = np.arange(size)
     disagreements = np.zeros(n + 1)
     for mask in range(size):
-        d = _bits.popcount(mask)
+        d = mask.bit_count()
         disagreements[d] += np.count_nonzero(f.values != f.values[idx ^ mask])
     total = 0.0
     for d in range(n + 1):

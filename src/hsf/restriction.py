@@ -99,10 +99,7 @@ def bias_profile(f: BooleanFunction, head: int) -> np.ndarray:
     """
     head_pos = _check_head(head, f.arity)
     h = check_cap("head size", len(head_pos), HEAD_CAP, "head cap")
-    # Block sums of +-1 entries are exact integers, so the summation order
-    # does not matter.
-    blocks = _bits.head_cube(f.values, head_pos, f.arity).reshape(1 << h, -1)
-    return _bits.read_only(blocks.sum(axis=1, dtype=np.int64) / (1 << (f.arity - h)))
+    return _bits.read_only(_bits.head_sums(f.values, head_pos, f.arity) / (1 << (f.arity - h)))
 
 
 def restriction_energy_identity(

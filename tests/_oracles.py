@@ -116,15 +116,12 @@ def slow_degree_weights(coefficients: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(slow_popcounts(n), weights=sq, minlength=n + 1)
 
 
-def _packed_head_index(head: int, arity: int) -> np.ndarray:
-    # Head bits of every row, gathered into consecutive low bits.
+def _packed_index(positions, arity: int) -> np.ndarray:
+    # Bit j of every row's packed index is the row's bit at positions[j].
     rows = np.arange(1 << arity, dtype=np.int64)
     packed = np.zeros(1 << arity, dtype=np.int64)
-    j = 0
-    for c in range(arity):
-        if (head >> c) & 1:
-            packed |= ((rows >> c) & 1) << j
-            j += 1
+    for j, c in enumerate(positions):
+        packed |= ((rows >> int(c)) & 1) << j
     return packed
 
 
@@ -148,16 +145,12 @@ def slow_restrict(values: np.ndarray, head: int, index: int, arity: int) -> np.n
 def slow_spread_table(values: np.ndarray, positions, arity: int) -> np.ndarray:
     """Table over ``arity`` bits by a row gather: row r reads the entry whose
     bit j is the bit of r at ``positions[j]``, the positions in any order."""
-    rows = np.arange(1 << arity, dtype=np.int64)
-    packed = np.zeros(1 << arity, dtype=np.int64)
-    for j, c in enumerate(positions):
-        packed |= ((rows >> c) & 1) << j
-    return values[packed]
+    return values[_packed_index(positions, arity)]
 
 
 def slow_embed_junta(values: np.ndarray, head: int, arity: int) -> np.ndarray:
     """Lift a head-junta table by gathering the head bits of every row."""
-    return values[_packed_head_index(head, arity)]
+    return slow_spread_table(values, [c for c in range(arity) if (head >> c) & 1], arity)
 
 
 def junta_distance(values: np.ndarray, junta_values: np.ndarray, head: int, arity: int) -> float:
@@ -166,9 +159,9 @@ def junta_distance(values: np.ndarray, junta_values: np.ndarray, head: int, arit
     return float(np.count_nonzero(values != lifted)) / values.size
 
 
-def slow_bias_profile(values: np.ndarray, head: int, arity: int) -> np.ndarray:
-    """Block means of a table by one bincount over the gathered head index."""
-    h = head.bit_count()
-    sums = np.bincount(_packed_head_index(head, arity),
-                       weights=values.astype(np.float64), minlength=1 << h)
-    return sums / (1 << (arity - h))
+def slow_bias_profile(values: np.ndarray, positions, arity: int) -> np.ndarray:
+    """Block means of a table by one bincount over the gathered packed index:
+    bit j of the index is the bit at ``positions[j]``, the positions in any order."""
+    sums = np.bincount(_packed_index(positions, arity),
+                       weights=values.astype(np.float64), minlength=1 << len(positions))
+    return sums / (1 << (arity - len(positions)))

@@ -84,7 +84,11 @@ _BAD_INPUTS = [
                    id=f"sweep-no-cells-{name}")
       for name, extra, message in [
           ("family", ["--families", "bogus"], "unknown family 'bogus'"),
+          ("old-alias", ["--families", "gaussian-weights"], "unknown family 'gaussian-weights'"),
           ("rate", ["--families", "geometric:1.5"], "rate must be in (0, 1), got 1.5"),
+          ("no-rate", ["--families", "geometric"], "family 'geometric' needs a rate"),
+          ("rate-not-real", ["--families", "geometric:x"], "rate must convert to a float"),
+          ("rate-not-taken", ["--families", "equal:0.5"], "family 'equal' takes no rate"),
           ("theta-law", ["--theta-law", "bogus"], "unknown theta law 'bogus'"),
           ("n", ["--n", "0"], "n must be in [1, inf], got 0"),
           ("epsilon", ["--epsilons", "0.7"], "epsilon must be in (0, 0.5], got 0.7"),
@@ -100,6 +104,10 @@ _BAD_INPUTS = [
            "outside the float64 range"),
           ("non-ascii", '{"weights": [1, 2], "theta": 0, "note": "\u00e9"}'.encode("utf-8"),
            "not a well-formed ASCII document"),
+          ("deep-nesting", b'{"weights": ' + b"[" * 100_000 + b"]" * 100_000 + b', "theta": 0}',
+           "maximum recursion depth exceeded"),
+          ("int-past-digit-limit", b'{"weights": [1, ' + b"9" * 5000 + b'], "theta": 0}',
+           "for integer string conversion"),
       ]),
 ]
 

@@ -230,10 +230,11 @@ class TestThetaLawAndFamilies:
         np.testing.assert_allclose(lt.weights, np.full(6, 1 / math.sqrt(6)), atol=1e-15)
         assert lt.theta == 0.0
 
-    def test_family_aliases(self):
-        a = random_ltf(5, "gaussian", seed=9)
-        b = random_ltf(5, "gaussian-weights", seed=9)
-        np.testing.assert_array_equal(a.weights, b.weights)
+    def test_old_family_aliases_are_refused(self):
+        # One spelling per family, so a sweep's family column has one too.
+        for alias in ("equal-weights", "gaussian-weights", "geometric-decay"):
+            with pytest.raises(InvalidInputError, match=f"unknown family '{alias}'"):
+                random_ltf(5, alias, seed=9)
 
     def test_geometric_family(self):
         lt = random_ltf(4, "geometric", rate=0.5, seed=2)
@@ -241,7 +242,7 @@ class TestThetaLawAndFamilies:
         np.testing.assert_allclose(lt.weights, raw / np.linalg.norm(raw), atol=1e-15)
 
     def test_geometric_requires_rate(self):
-        with pytest.raises(InvalidInputError, match="rate"):
+        with pytest.raises(InvalidInputError, match="^family 'geometric' needs a rate$"):
             random_ltf(4, "geometric")
         with pytest.raises(InvalidInputError, match="rate"):
             random_ltf(4, "geometric", rate=1.0)
