@@ -27,7 +27,7 @@ _HOME = {
     name: module
     for module, names in {
         "errors": "CapExceededError DegenerateLtfError HsfError InvalidInputError",
-        "fncore": "BooleanFunction FourierSpectrum mean random_function synthesize wht",
+        "fncore": "BooleanFunction FourierSpectrum random_function synthesize wht",
         "junta": "Diagnostics HeadProjection Instance JuntaCase JuntaReport TheoremConfig "
         "Verdict extract_junta head_projection junta_budget premise_bound prepare "
         "theorem_verify",

@@ -6,8 +6,8 @@ value -1.  Variable sets are plain Python ints read as bitmasks, so the parity
 function of a set S evaluates to (-1)**popcount(k & S) at row k.
 
 Reshaped to (2,)*n in C order, a table puts the highest bit on axis 0, so
-variable c sits on axis n-1-c; whole-table reindexing (transposes, head
-blocks, broadcasting over variables a function ignores) works on that view.
+variable c sits on axis n-1-c; whole-table reindexing (transposes to another
+bit order, head blocks) works on that view.
 """
 
 from __future__ import annotations
@@ -116,18 +116,6 @@ def head_sums(table: np.ndarray, positions: Sequence[int], n: int) -> np.ndarray
         table = table.reshape(-1, 1 << low).sum(axis=0, dtype=np.int64)
     return head_cube(table, positions, low).reshape(1 << len(positions), -1).sum(
         axis=1, dtype=np.int64)
-
-
-def spread_table(table: np.ndarray, positions: Sequence[int], n: int) -> np.ndarray:
-    """Table over n bits whose :func:`head_cube` rows are the entries of ``table``.
-
-    Row r holds ``table[k]`` where bit j of k is the bit of r at ``positions[j]``,
-    so the result is constant along the bits that no position names.
-    """
-    k = len(positions)
-    out = np.empty(1 << n, dtype=table.dtype)
-    head_cube(out, positions, n)[...] = table.reshape((2,) * k + (1,) * (n - k))
-    return out
 
 
 def submasks(mask: int) -> np.ndarray:

@@ -46,6 +46,7 @@ from .noise import (
     constant_bound_check,
     gaussian_ns_bound,
     gaussian_ns_mc,
+    hoeffding_radius,
     ns_exact,
     regular_cdf_gap,
     tail_ratio_check,
@@ -124,9 +125,9 @@ def _families(raw: str) -> list[tuple[str, str | None]]:
 def cmd_analyze(args: argparse.Namespace) -> int:
     lt = load_ltf_file(args.ltf)
     prof = regularity_profile(lt)
-    instance = prepare(lt, cap=args.max_n)
-    taus = _floats(args.taus, "--taus")
+    indices = [(tau, critical_index(lt, tau)) for tau in _floats(args.taus, "--taus")]
     epsilons = _floats(args.epsilons, "--epsilons")
+    instance = prepare(lt, cap=args.max_n)  # after the checks; ns_exact alone checks eps
     weight_by_degree = instance.spectrum.degree_weights
 
     rows: list[tuple] = [
@@ -141,7 +142,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         ("origin", p + 1, int(lt.original_index[p])) for p in range(lt.n_active)
     )
     rows.extend(("sigma", k + 1, float(prof.tail_norms[k])) for k in range(lt.n_active))
-    indices = [(tau, critical_index(lt, tau)) for tau in taus]
     rows.extend(("critical_index", tau, ell) for tau, ell in indices)
     ns_rows = [(eps, ns_exact(instance.spectrum, eps)) for eps in epsilons]
     rows.extend(("ns", eps, value) for eps, value in ns_rows)
@@ -308,6 +308,7 @@ def _table_and_head(seed: int, k: int) -> tuple:
 
 
 def cmd_checks(args: argparse.Namespace) -> int:
+    hoeffding_radius(args.samples)  # the Monte Carlo blocks' check, before the first block
     rows: list[tuple] = []
     k = 0
 

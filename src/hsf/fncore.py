@@ -244,11 +244,6 @@ def synthesize(spectrum: FourierSpectrum) -> np.ndarray:
     return _butterfly(spectrum.coefficients.copy())
 
 
-def mean(f: BooleanFunction) -> float:
-    """E[f] under the uniform distribution."""
-    return float(np.mean(f.values, dtype=np.float64))
-
-
 def random_function(arity: int, seed, cap: int = DEFAULT_ARITY_CAP) -> BooleanFunction:
     """Uniformly random +-1 table; identical seeds give identical tables."""
     cap = check_int("cap", cap, 0, MAX_ARITY_CAP)

@@ -83,7 +83,6 @@ class Diagnostics:
     small_delta: bool
     critical_idx: int | float
     budget: int
-    head_size: int
     guarantee_bound: float
     frac_unbiased: float
     residual_sq: float
@@ -235,13 +234,6 @@ def _project(biases: np.ndarray, delta: float) -> HeadProjection:
     )
 
 
-def _proper_head_biases(instance: Instance, size: int) -> np.ndarray:
-    # A head of every active coordinate is the whole function: no head cap.
-    if size < instance.ltf.n_active:
-        check_cap("head size", size, HEAD_CAP, "head cap")
-    return instance.head_biases(size)
-
-
 def extract_junta(
     instance: Instance | Ltf,
     epsilon: float,
@@ -274,42 +266,38 @@ def extract_junta(
     small_delta = delta ** (1.0 / (1.0 - epsilon)) < math.sqrt(epsilon)
     within = epsilon <= VALIDITY_LIMIT and delta <= VALIDITY_LIMIT
 
-    frac_unbiased = math.nan
-    residual_sq = math.nan
-    iia_bound = math.nan
-
     if small_delta or ell == 1:
-        case = JuntaCase.SMALL_DELTA if small_delta else JuntaCase.CONSTANT
-        junta_set = 0
-        biases = spectrum.coefficients[:1]  # E[f]: the one block of the empty head
-        approx = _PLUS if biases[0] >= 0.0 else _MINUS
-        guarantee = delta
+        case, size = JuntaCase.SMALL_DELTA if small_delta else JuntaCase.CONSTANT, 0
     elif ell <= budget:
-        head_size = int(ell)
-        junta_set = head_mask(ltf, head_size)
-        biases = _proper_head_biases(instance, head_size)
+        case, size = JuntaCase.PROJECTION, int(ell)  # IIa unless the projection is certified
+    else:
+        case, size = JuntaCase.HEAD_JUNTA, min(budget, ltf.n_active)
+    if size < ltf.n_active:  # a head of every active coordinate is the whole function
+        check_cap("head size", size, HEAD_CAP, "head cap")
+    if size:
+        junta_set, biases = head_mask(ltf, size), instance.head_biases(size)
+    else:  # the empty head has one block, whose bias E[f] the spectrum holds
+        junta_set, biases = 0, spectrum.coefficients[:1]
+
+    frac_unbiased = residual_sq = iia_bound = math.nan
+    guarantee = delta
+    if case is JuntaCase.PROJECTION:
         proj = _project(biases, delta)
         frac_unbiased = proj.frac_unbiased
         if proj.certified:
-            case = JuntaCase.PROJECTION
-            approx = proj.approximator
-            residual_sq = proj.residual_sq
-            guarantee = 3.0 * delta
+            residual_sq, guarantee = proj.residual_sq, 3.0 * delta
         else:
-            case = JuntaCase.PREMISE_VIOLATED
-            approx = _signs(biases)
+            case, guarantee = JuntaCase.PREMISE_VIOLATED, math.nan
             # Lower bound on noise sensitivity implied by the unbiased blocks
             # through the restriction threshold argument; exceeding the
             # premise with it is what this case asserts.
             iia_bound = epsilon * delta * (2.0 - delta) * delta
-            guarantee = math.nan
-    else:
-        case = JuntaCase.HEAD_JUNTA
-        head_size = min(budget, ltf.n_active)
-        junta_set = head_mask(ltf, head_size)
-        biases = _proper_head_biases(instance, head_size)
+    if case is JuntaCase.PROJECTION:
+        approx = proj.approximator
+    elif size:
         approx = _signs(biases)
-        guarantee = delta
+    else:
+        approx = _PLUS if biases[0] >= 0.0 else _MINUS
 
     # Head block b has 2^(n-h) rows summing to m_b = biases[b] * 2^(n-h), so the
     # sum of g_b m_b is agreements minus disagreements; integers <= 2^n are exact.
@@ -324,7 +312,6 @@ def extract_junta(
         small_delta=small_delta,
         critical_idx=ell,
         budget=budget,
-        head_size=junta_set.bit_count(),
         guarantee_bound=guarantee,
         frac_unbiased=frac_unbiased,
         residual_sq=residual_sq,
@@ -345,11 +332,11 @@ def theorem_verify(report: JuntaReport) -> Verdict:
 
     A violated premise makes every guarantee vacuous (the verdict passes with
     the vacuous flag).  With the premise satisfied, the distance must meet
-    the case bound and the junta must fit the budget; the premise-violation
-    case then contradicts itself and fails loudly.
+    the bound the extraction set, ``guarantee_bound``, and the junta must fit
+    the budget; the premise-violation case then contradicts itself and fails
+    loudly.
     """
     d = report.diagnostics
-    delta = check_range("delta", d.delta, 0, 1, open_lo=True)
     if not d.premise_holds:
         return Verdict(passed=True, vacuous=True, label="premise-violated")
     if report.case is JuntaCase.PREMISE_VIOLATED:
@@ -359,9 +346,7 @@ def theorem_verify(report: JuntaReport) -> Verdict:
             stacklevel=2,
         )
         return Verdict(passed=False, vacuous=False, label="fail")
-    multiple = 3.0 if report.case is JuntaCase.PROJECTION else 1.0
-    ok = (
-        report.distance <= multiple * delta + CHECK_TOL
-        and report.junta_size <= d.budget
-    )
+    bound = check_range("guarantee_bound", d.guarantee_bound, 0, math.inf,
+                        open_lo=True, open_hi=True)
+    ok = report.distance <= bound + CHECK_TOL and report.junta_size <= d.budget
     return Verdict(passed=ok, vacuous=False, label="pass" if ok else "fail")

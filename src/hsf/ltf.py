@@ -139,9 +139,12 @@ def linear_form(ltf: Ltf, x: np.ndarray) -> np.ndarray:
 
 def truth_table(ltf: Ltf, cap: int = DEFAULT_ARITY_CAP) -> BooleanFunction:
     """Dense table over all n_inputs variables (dropped coordinates ignored)."""
-    by_position = canonical_table(ltf, cap).values[:1 << ltf.n_active]
-    return _bits.adopt(BooleanFunction, arity=ltf.n_inputs, values=_bits.spread_table(
-        by_position, ltf.original_index, ltf.n_inputs))
+    n = ltf.n_inputs
+    by_position = canonical_table(ltf, cap).values.reshape((2,) * n)  # checks the cap first
+    values = np.empty(1 << n, dtype=np.int8)
+    # Canonical bit p is input bit [*original_index, *dropped][p].
+    _bits.head_cube(values, [*ltf.original_index, *ltf.dropped], n)[...] = by_position
+    return _bits.adopt(BooleanFunction, arity=n, values=values)
 
 
 def canonical_table(ltf: Ltf, cap: int = DEFAULT_ARITY_CAP) -> BooleanFunction:

@@ -8,7 +8,8 @@ mpmath at high precision.  The per-instance kernels (Walsh-Hadamard butterfly,
 linear-form table, popcounts, degree weights, restriction, bias profiles)
 are kept here in their original float64, blockwise and bit-loop forms, which
 the fast kernels must match byte for byte.  The bit-loop junta lift and table
-comparison are the oracle of the distances extractions report.
+comparison are the oracle of the distances extractions report, and the verdict
+rule that rebuilt each case's bound from delta is the oracle of the verdicts.
 """
 
 import mpmath
@@ -165,3 +166,16 @@ def slow_bias_profile(values: np.ndarray, positions, arity: int) -> np.ndarray:
     sums = np.bincount(_packed_index(positions, arity),
                        weights=values.astype(np.float64), minlength=1 << len(positions))
     return sums / (1 << (arity - len(positions)))
+
+
+def delta_multiple_verdict(report, tol: float) -> tuple[bool, bool, str]:
+    """(passed, vacuous, label) by the verdict rule that rebuilt each case's
+    bound from delta: 3 * delta for IIb_Projection, delta for the others."""
+    d = report.diagnostics
+    if not d.premise_holds:
+        return True, True, "premise-violated"
+    if str(report.case) == "IIa_PremiseViolated":
+        return False, False, "fail"
+    multiple = 3.0 if str(report.case) == "IIb_Projection" else 1.0
+    ok = report.distance <= multiple * d.delta + tol and report.junta_size <= d.budget
+    return ok, False, "pass" if ok else "fail"

@@ -93,6 +93,12 @@ _BAD_INPUTS = [
           ("n", ["--n", "0"], "n must be in [1, inf], got 0"),
           ("epsilon", ["--epsilons", "0.7"], "epsilon must be in (0, 0.5], got 0.7"),
       ]),
+    pytest.param(_VALID_ARGV["analyze"], ["--taus", "x"], None,
+                 "--taus expects comma-separated reals, got 'x'", id="analyze-taus-not-real"),
+    pytest.param(_VALID_ARGV["analyze"], ["--taus", "2"], None,
+                 "tau must be in (0, 1], got 2.0", id="analyze-tau-past-one"),
+    pytest.param(_VALID_ARGV["checks"], ["--samples", "0"], None,
+                 "samples must be in [1, ", id="checks-no-samples"),
     pytest.param(_ltf_argv("junta", weights=(1e-300, 1e-300), theta=1e300), [], None,
                  "canonical theta overflows", id="junta-theta-overflow"),
     *(pytest.param(_raw_ltf_argv(command, document), [], None, message, id=f"{command}-{name}")
@@ -122,6 +128,27 @@ class TestBadInputs:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert message in err and "Traceback" not in err
+
+    # The check blocks of `checks`, each named by its first call.
+    _CHECK_BLOCKS = ["random_function", "constant_bound_check", "restriction_energy_identity",
+                     "ns_aggregation_check", "regular_cdf_gap", "boolean_pair_quadrant_mc",
+                     "tail_ratio_check", "gaussian_ns_mc"]
+
+    @pytest.mark.parametrize("command, extra, work", [
+        pytest.param("analyze", ["--taus", "x"], ["prepare"], id="analyze-taus-not-real"),
+        pytest.param("analyze", ["--taus", "2"], ["prepare"], id="analyze-tau-past-one"),
+        pytest.param("checks", ["--samples", "0"], _CHECK_BLOCKS, id="checks-no-samples"),
+    ])
+    def test_refused_before_any_table_or_check_block(self, tmp_path, monkeypatch,
+                                                     command, extra, work):
+        ran = []
+        for name in work:
+            def spy(*args, name=name, real=getattr(cli, name), **kwargs):
+                ran.append(name)
+                return real(*args, **kwargs)
+            monkeypatch.setattr(cli, name, spy)
+        assert cli.main(_VALID_ARGV[command](tmp_path) + extra) == 2
+        assert ran == []
 
 
 class TestAnalyze:

@@ -8,7 +8,6 @@ from hsf import (
     CapExceededError,
     FourierSpectrum,
     InvalidInputError,
-    mean,
     random_function,
     synthesize,
     wht,
@@ -127,11 +126,6 @@ class TestWht:
 
 
 class TestSummaries:
-    def test_mean_frozen(self):
-        assert mean(MAJ3) == 0.0
-        assert mean(BooleanFunction(1, [1, 1])) == 1.0
-        assert mean(BooleanFunction(2, [1, -1, -1, -1])) == -0.5
-
     def test_distance_to_dictator_frozen(self):
         # The oracle of the distances extractions report, at frozen values.
         assert junta_distance(MAJ3.values, [1, -1], 0b001, 3) == 0.25

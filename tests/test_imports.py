@@ -166,22 +166,44 @@ _UNCALLED_EXPORTS = {
 }
 
 
-def _references(path: Path) -> dict[str | None, set[str]]:
-    # Names each top-level function or class of a file uses, keyed by its name,
-    # and those the rest of the file uses, keyed by None: loaded names, and
-    # attributes read off the modules it imports.
+def _hsf_imports(tree: ast.Module, stems: set[str]) -> tuple[set[str], list]:
+    # Local names bound to an hsf module, and the (alias, line) of every other
+    # name imported from hsf.
+    modules, names = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.asname or alias.name.split(".")[0] for alias in node.names
+                           if alias.name.split(".")[0] == "hsf")
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "hsf"):
+            from_package = node.module in (None, "hsf")
+            for alias in node.names:
+                if from_package and alias.name in stems:
+                    modules.add(alias.asname or alias.name)
+                else:
+                    names.append((alias, node.lineno))
+    return modules, names
+
+
+def _references(path: Path, stems: set[str]) -> dict[str | None, set[str]]:
+    # Exports each top-level function or class of a file uses, keyed by its
+    # name, and those the rest of the file uses, keyed by None.  An attribute
+    # counts when read off an hsf module; a bare name counts in its home module
+    # and in a file that imports it from hsf, so a local variable or numpy's
+    # function of the same name is no caller.
+    import hsf
+
     tree = ast.parse(path.read_text())
-    modules = {alias.asname or alias.name.split(".")[0]
-               for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
-               for alias in node.names
-               if isinstance(node, ast.Import) or node.module in (None, "hsf")}
+    modules, imported = _hsf_imports(tree, stems)
+    bare = {name: name for name, home in hsf._HOME.items() if home == path.stem}
+    bare.update((alias.asname or alias.name, alias.name) for alias, _ in imported)
     found: dict[str | None, set[str]] = {}
     for node in tree.body:
         key = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else None
         refs = found.setdefault(key, set())
         for sub in ast.walk(node):
-            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
-                refs.add(sub.id)
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load) and sub.id in bare:
+                refs.add(bare[sub.id])
             elif (isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
                   and sub.value.id in modules):
                 refs.add(sub.attr)
@@ -192,12 +214,14 @@ def test_every_exported_name_has_a_caller():
     import hsf
 
     package = ROOT / "src" / "hsf"
-    sources = {p.stem: _references(p) for p in package.glob("*.py") if p.name != "__init__.py"}
+    stems = {p.stem for p in package.glob("*.py")}
+    sources = {p.stem: _references(p, stems)
+               for p in package.glob("*.py") if p.name != "__init__.py"}
     demos = set().union(*(refs for p in (ROOT / "demos").glob("*.py")
-                          for refs in _references(p).values()))
+                          for refs in _references(p, stems).values()))
     uncalled, stale = [], []
     for name in hsf.__all__:
-        home = getattr(getattr(hsf, name), "__module__", "").rpartition(".")[2]
+        home = hsf._HOME[name]
         used = demos.union(*(refs for stem, by_def in sources.items()
                              for key, refs in by_def.items() if (stem, key) != (home, name)))
         if name not in used and name not in _UNCALLED_EXPORTS:
@@ -218,19 +242,9 @@ def test_no_module_reads_a_private_name_of_another():
     reads = []
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text())
-        modules = set()  # local names bound to an hsf module
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                modules.update(alias.asname or alias.name.split(".")[0] for alias in node.names
-                               if alias.name.split(".")[0] == "hsf")
-            elif isinstance(node, ast.ImportFrom) and (
-                    node.level or (node.module or "").split(".")[0] == "hsf"):
-                from_package = node.module in (None, "hsf")
-                for alias in node.names:
-                    if from_package and alias.name in stems:
-                        modules.add(alias.asname or alias.name)
-                    elif _private(alias.name):
-                        reads.append(f"{path.name}:{node.lineno} imports {alias.name}")
+        modules, imported = _hsf_imports(tree, stems)
+        reads += [f"{path.name}:{line} imports {alias.name}"
+                  for alias, line in imported if _private(alias.name)]
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and _private(node.attr) and node.attr not in stems:
                 root = node.value

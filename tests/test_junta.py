@@ -304,19 +304,23 @@ class TestCapsAndValidation:
 class TestVerdicts:
     REPORT = extract_junta(canonicalize(np.ones(16), 8.0), EPS, WIDE_DELTA)
 
-    def _at_delta(self, delta):
-        # The report with its diagnostics claiming another delta.
-        diagnostics = dataclasses.replace(self.REPORT.diagnostics, delta=delta)
+    def _forged(self, **fields):
+        # The report with its diagnostics claiming other values.
+        diagnostics = dataclasses.replace(self.REPORT.diagnostics, **fields)
         return dataclasses.replace(self.REPORT, diagnostics=diagnostics)
 
-    def test_delta_override(self):
-        assert theorem_verify(self._at_delta(0.05)).passed
-        weak = theorem_verify(self._at_delta(0.03))
+    def test_guarantee_override(self):
+        # Distance 2517/65536 ~ 0.038: the verdict reads the bound the route
+        # set, not delta.
+        assert theorem_verify(self._forged(guarantee_bound=0.05)).passed
+        weak = theorem_verify(self._forged(guarantee_bound=0.03))
         assert not weak.passed and weak.label == "fail"
+        assert theorem_verify(self._forged(delta=0.03)).passed
 
-    def test_delta_validation(self):
-        with pytest.raises(InvalidInputError):
-            theorem_verify(self._at_delta(0.0))
+    @pytest.mark.parametrize("bound", [0.0, -0.1, math.inf, math.nan])
+    def test_guarantee_validation(self, bound):
+        with pytest.raises(InvalidInputError, match="guarantee_bound must be in"):
+            theorem_verify(self._forged(guarantee_bound=bound))
 
     def test_distance_guard(self):
         bad = dataclasses.replace(self.REPORT, distance=0.9)

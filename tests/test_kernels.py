@@ -19,10 +19,16 @@ its junta lifted to the full table by the bit-loop oracle, in every case.  A
 prepared instance is built in sorted-position order, and everything an
 extraction reads from it must equal, byte for byte, the same value read from
 the input-order table, and an instance reused across (eps, delta) cells must
-report what fresh ones do.
+report what fresh ones do.  The verdict of every such report must equal the
+rule that rebuilt each case's bound from delta, and an extraction reads the
+head blocks once on a head route and never on a constant one, so the golden
+sweep reads none.
 """
 
+import dataclasses
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +45,7 @@ from hsf import (
     canonical_linear_form,
     canonical_table,
     canonicalize,
+    cli,
     extract_junta,
     head_mask,
     ns_exact,
@@ -49,13 +56,16 @@ from hsf import (
     regularity_profile,
     restrict,
     synthesize,
+    theorem_verify,
     truth_table,
     wht,
 )
-from hsf._bits import bit_positions, head_cube, head_sums, popcounts, spread_table, submasks
+from hsf._bits import bit_positions, head_sums, popcounts, submasks
 from hsf.fncore import _butterfly
+from hsf.noise import CHECK_TOL
 
 from _oracles import (
+    delta_multiple_verdict,
     junta_distance,
     slow_bias_profile,
     slow_butterfly,
@@ -63,7 +73,6 @@ from _oracles import (
     slow_linear_form_table,
     slow_popcounts,
     slow_restrict,
-    slow_spread_table,
 )
 from test_head_routes import _weights_theta_delta
 
@@ -232,22 +241,6 @@ def test_restrict_matches_gather_on_every_head_and_assignment():
     for head in range(1 << 6):
         for index in range(1 << head.bit_count()):
             _check_restrict(f, head, index)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_spread_table_matches_gather_for_positions_in_any_order(data):
-    # Junta heads and truth tables pass positions that are not ascending.
-    n = data.draw(st.integers(0, 12))
-    k = data.draw(st.integers(0, n))
-    positions = data.draw(st.permutations(range(n)))[:k]
-    if data.draw(st.booleans()):
-        positions = np.array(positions, dtype=np.int64)
-    table = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).standard_normal(1 << k)
-    spread = spread_table(table, positions, n)
-    assert spread.tobytes() == slow_spread_table(table, positions, n).tobytes()
-    rows = head_cube(spread, positions, n).reshape(1 << k, -1)
-    assert np.array_equal(rows, np.broadcast_to(table[:, None], rows.shape))
 
 
 def test_submasks_are_every_submask_in_packed_order():
@@ -583,6 +576,28 @@ def test_reused_instance_reports_equal_fresh_ones(args):
     assert "_per_eps" not in repr(reused)
 
 
+@settings(max_examples=60, deadline=None)
+@given(instance_and_cells())
+def test_verdict_matches_the_delta_multiple_rule(args):
+    # theorem_verify judges the guarantee_bound the route set; the rule it
+    # replaced rebuilt each case's bound from delta.  Each report is judged as
+    # made, then with its premise forced to hold at its own distance and at
+    # 2 delta, which only the projection's bound of 3 delta admits.
+    wt, cells = args
+    instance = prepare(canonicalize(*wt))
+    for eps, delta, c_ns, c_l in cells:
+        report = extract_junta(instance, eps, delta, TheoremConfig(c_ns=c_ns, c_l=c_l))
+        holding = dataclasses.replace(report.diagnostics, premise_holds=True)
+        for judged in (report, *(dataclasses.replace(report, diagnostics=holding, distance=d)
+                                 for d in (report.distance, 2.0 * delta))):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # IIa with its premise holding warns
+                verdict = theorem_verify(judged)
+            assert (verdict.passed, verdict.vacuous, verdict.label) == delta_multiple_verdict(
+                judged, CHECK_TOL)
+        event(str(report.case))
+
+
 # Sorted-position instances against the input-order table, at n <= 16 so every
 # head size fits the head cap.  One explicit draw has ties, two dropped
 # coordinates and a threshold on an exact tie row.
@@ -613,6 +628,40 @@ def test_sorted_position_instance_matches_input_order_table(wt):
     assert report.case is JuntaCase.HEAD_JUNTA and report.junta_size == lt.n_active
     rest = ((1 << lt.n_inputs) - 1) ^ report.junta_set
     assert report.approximator.values.tobytes() == restrict(table, rest, 0).values.tobytes()
+
+
+def _count_head_reads(monkeypatch) -> list:
+    # The sizes every Instance.head_biases call asks for, in call order.
+    sizes = []
+
+    def counting(self, size, real=hsf.junta.Instance.head_biases):
+        sizes.append(size)
+        return real(self, size)
+
+    monkeypatch.setattr(hsf.junta.Instance, "head_biases", counting)
+    return sizes
+
+
+def test_head_blocks_are_read_once_per_head_route(monkeypatch):
+    sizes = _count_head_reads(monkeypatch)
+    for case, lt, eps, delta, c_l, _ in _CASE_INPUTS:
+        sizes.clear()
+        report = extract_junta(prepare(lt), eps, delta, TheoremConfig(c_l=c_l))
+        assert str(report.case) == case
+        assert sizes == ([report.junta_size] if report.junta_size else [])
+
+
+def test_golden_sweep_reads_no_head_blocks(monkeypatch, tmp_path):
+    # Every golden cell takes a constant route, whose one block is f-hat(empty).
+    sizes = _count_head_reads(monkeypatch)
+    out = tmp_path / "sweep.csv"
+    assert cli.main([
+        "sweep", "--families", "equal,gaussian,geometric:0.97", "--n", "16",
+        "--count", "168", "--seed", "20260815", "--theta-law", "gaussian:2", "--quiet",
+        "--out", str(out),
+    ]) == 0
+    assert out.read_bytes() == (Path(__file__).parent / "golden" / "sweep_golden.csv").read_bytes()
+    assert sizes == []
 
 
 def test_instances_never_build_input_order_tables(monkeypatch):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -151,6 +152,16 @@ class TestEvaluation:
         lt = canonicalize(np.ones(6), 0.0)
         with pytest.raises(CapExceededError):
             truth_table(lt, cap=5)
+        # The cap is checked before the 2^n result is allocated (64 MiB here).
+        wide = canonicalize(np.ones(26), 0.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceededError, match="^arity 26 exceeds cap 20$"):
+                truth_table(wide)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_linear_form_table_matches_rows(self):
         lt = canonicalize([3.0, -1.0, 2.0], 0.5)
