@@ -309,6 +309,11 @@ def _table_and_head(seed: int, k: int) -> tuple:
 
 def cmd_checks(args: argparse.Namespace) -> int:
     hoeffding_radius(args.samples)  # the Monte Carlo blocks' check, before the first block
+    # The cdf-gap block's 16-ary forms, held to the arity cap before the first block.
+    maj16 = canonicalize(np.ones(16), 0.0)
+    decaying16 = canonicalize(0.999 ** np.arange(1, 17, dtype=np.float64), 0.0)
+    for lt in (maj16, decaying16):
+        check_cap("arity", lt.n_inputs, args.max_n)
     rows: list[tuple] = []
     k = 0
 
@@ -348,11 +353,7 @@ def cmd_checks(args: argparse.Namespace) -> int:
         k += 1
 
     # CDF of the linear form against the normal CDF, per the 2 tau* bound.
-    for weights, theta in (
-        (np.ones(16), 0.0),
-        (0.999 ** np.arange(1, 17, dtype=np.float64), 0.0),
-    ):
-        lt = canonicalize(weights, theta)
+    for lt in (maj16, decaying16):
         tau_star = regularity_profile(lt).tau_star
         gap = regular_cdf_gap(lt, cap=args.max_n)
         add("cdf-gap", k, gap, 2.0 * tau_star, gap - 2.0 * tau_star,
@@ -360,7 +361,6 @@ def cmd_checks(args: argparse.Namespace) -> int:
         k += 1
 
     # Joint quadrant probability of a correlated Boolean pair vs Gaussian.
-    maj16 = canonicalize(np.ones(16), 0.0)
     tau_star = regularity_profile(maj16).tau_star
     for eps in (0.1, 0.25):
         q = boolean_pair_quadrant_mc(

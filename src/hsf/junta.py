@@ -214,24 +214,19 @@ def head_projection(f: BooleanFunction, head: int, delta: float) -> HeadProjecti
     resulting junta is then within 3 * delta of f, and the squared projection
     residual of the overwritten function stays below 2 * delta.
     """
-    return _project(bias_profile(f, head), delta)
+    frac, certified, residual_sq, block_means = _project(bias_profile(f, head), delta)
+    return HeadProjection(_signs(block_means), certified, residual_sq, frac)
 
 
-def _project(biases: np.ndarray, delta: float) -> HeadProjection:
+def _project(biases: np.ndarray, delta: float) -> tuple[float, bool, float, np.ndarray]:
+    # The rule of head_projection: (frac unbiased, certified, residual^2, block means).
     delta = check_range("delta", delta, 0, 1, open_lo=True)
     unbiased = np.abs(biases) <= 1.0 - delta
     frac = float(np.count_nonzero(unbiased)) / biases.size
     # Projection onto head functions is blockwise conditional expectation, so
     # the overwritten function projects to its block means directly.
     block_means = np.where(unbiased, 1.0, biases)
-    approx = _signs(block_means)
-    residual_sq = 1.0 - float(np.mean(block_means * block_means))
-    return HeadProjection(
-        approximator=approx,
-        certified=frac <= delta,
-        residual_sq=residual_sq,
-        frac_unbiased=frac,
-    )
+    return frac, frac <= delta, 1.0 - float(np.mean(block_means * block_means)), block_means
 
 
 def extract_junta(
@@ -280,22 +275,19 @@ def extract_junta(
         junta_set, biases = 0, spectrum.coefficients[:1]
 
     frac_unbiased = residual_sq = iia_bound = math.nan
-    guarantee = delta
+    guarantee, sign_source = delta, biases
     if case is JuntaCase.PROJECTION:
-        proj = _project(biases, delta)
-        frac_unbiased = proj.frac_unbiased
-        if proj.certified:
-            residual_sq, guarantee = proj.residual_sq, 3.0 * delta
+        frac_unbiased, certified, residual, block_means = _project(biases, delta)
+        if certified:
+            residual_sq, guarantee, sign_source = residual, 3.0 * delta, block_means
         else:
             case, guarantee = JuntaCase.PREMISE_VIOLATED, math.nan
             # Lower bound on noise sensitivity implied by the unbiased blocks
             # through the restriction threshold argument; exceeding the
             # premise with it is what this case asserts.
             iia_bound = epsilon * delta * (2.0 - delta) * delta
-    if case is JuntaCase.PROJECTION:
-        approx = proj.approximator
-    elif size:
-        approx = _signs(biases)
+    if size:
+        approx = _signs(sign_source)
     else:
         approx = _PLUS if biases[0] >= 0.0 else _MINUS
 

@@ -44,7 +44,11 @@ class Ltf:
     ``weights[p]`` is the weight at sorted position p (0-based internally) and
     ``original_index[p]`` the 0-based input coordinate it came from.
     ``n_inputs`` is the arity of the original weight vector, including dropped
-    zero-weight coordinates.
+    zero-weight coordinates.  Construction checks the invariants every table
+    relies on: finite weights of non-increasing magnitude (an active weight
+    may have underflowed to zero), a finite theta, one original coordinate
+    per weight, and ``original_index`` with ``dropped`` exactly the
+    coordinates ``range(n_inputs)``.
     """
 
     weights: np.ndarray
@@ -54,8 +58,25 @@ class Ltf:
     n_inputs: int
 
     def __post_init__(self) -> None:
-        for name, dtype in (("weights", np.float64), ("original_index", np.int64)):
-            object.__setattr__(self, name, _bits.read_only(np.array(getattr(self, name), dtype)))
+        weights, theta = _finite(self.weights, self.theta)
+        index = np.asarray(self.original_index)
+        if index.dtype.kind not in "iu" or index.shape != weights.shape:
+            raise InvalidInputError("original_index must hold one int coordinate per weight")
+        index = index.astype(np.int64)
+        magnitudes = np.abs(weights)
+        if np.any(magnitudes[1:] > magnitudes[:-1]):
+            raise InvalidInputError("weights must be sorted by non-increasing magnitude")
+        n = check_int("n_inputs", self.n_inputs, 1)
+        dropped = tuple(check_int("dropped coordinate", j) for j in self.dropped)
+        coords = np.sort(np.concatenate([index, np.array(dropped, dtype=np.int64)]))
+        if not np.array_equal(coords, np.arange(n)):
+            raise InvalidInputError(
+                "original_index and dropped must hold each of range(n_inputs) once")
+        object.__setattr__(self, "weights", _bits.read_only(np.array(weights)))
+        object.__setattr__(self, "original_index", _bits.read_only(index))
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "dropped", dropped)
+        object.__setattr__(self, "n_inputs", n)
 
     @property
     def n_active(self) -> int:

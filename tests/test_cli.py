@@ -99,6 +99,8 @@ _BAD_INPUTS = [
                  "tau must be in (0, 1], got 2.0", id="analyze-tau-past-one"),
     pytest.param(_VALID_ARGV["checks"], ["--samples", "0"], None,
                  "samples must be in [1, ", id="checks-no-samples"),
+    pytest.param(_VALID_ARGV["checks"], ["--max-n", "10"], None,
+                 "arity 16 exceeds cap 10", id="checks-max-n-below-cdf-gap-arity"),
     pytest.param(_ltf_argv("junta", weights=(1e-300, 1e-300), theta=1e300), [], None,
                  "canonical theta overflows", id="junta-theta-overflow"),
     *(pytest.param(_raw_ltf_argv(command, document), [], None, message, id=f"{command}-{name}")
@@ -138,6 +140,8 @@ class TestBadInputs:
         pytest.param("analyze", ["--taus", "x"], ["prepare"], id="analyze-taus-not-real"),
         pytest.param("analyze", ["--taus", "2"], ["prepare"], id="analyze-tau-past-one"),
         pytest.param("checks", ["--samples", "0"], _CHECK_BLOCKS, id="checks-no-samples"),
+        pytest.param("checks", ["--max-n", "10"], _CHECK_BLOCKS,
+                     id="checks-max-n-below-cdf-gap-arity"),
     ])
     def test_refused_before_any_table_or_check_block(self, tmp_path, monkeypatch,
                                                      command, extra, work):

@@ -1,10 +1,10 @@
 """Pinned CSV bytes of the non-empty-head routes of junta and analyze.
 
 Every cell of the golden sweep takes the small-delta shortcut, so the
-projection, premise-violation and head-junta routes (bias profiles, head
-projection, best junta, embedding a head junta into the full cube) need
-their own byte pins.  The digests were recorded before the per-instance
-kernels were rewritten and must not move.
+projection, premise-violation and head-junta routes (the head blocks'
+biases, the projection rule, one sign table per route and the exact
+block-count distance) need their own byte pins.  The digests were recorded
+before the per-instance kernels were rewritten and must not move.
 """
 
 import hashlib

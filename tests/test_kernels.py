@@ -651,6 +651,28 @@ def test_head_blocks_are_read_once_per_head_route(monkeypatch):
         assert sizes == ([report.junta_size] if report.junta_size else [])
 
 
+def test_each_head_route_builds_its_junta_once(monkeypatch):
+    # One sign table per head route, from the block means when the projection
+    # is certified and from the biases otherwise; the constant routes share
+    # theirs.  Demo 4's premise violation has a 2-coordinate head.
+    sizes = []
+
+    def counting(values, real=hsf.junta._signs):
+        sizes.append(values.size)
+        return real(values)
+
+    monkeypatch.setattr(hsf.junta, "_signs", counting)
+    demo = canonicalize(np.r_[1.6, 1.03, np.ones(17)], 0.0)
+    for case, lt, eps, delta, c_l, _ in [*_CASE_INPUTS,
+                                         ("IIa_PremiseViolated", demo, 0.25, 0.62, 1.0, False)]:
+        sizes.clear()
+        report = extract_junta(prepare(lt), eps, delta, TheoremConfig(c_l=c_l))
+        assert str(report.case) == case
+        assert sizes == ([1 << report.junta_size] if report.junta_size else [])
+        assert report.approximator.arity == report.junta_size
+    assert sizes == [4]
+
+
 def test_golden_sweep_reads_no_head_blocks(monkeypatch, tmp_path):
     # Every golden cell takes a constant route, whose one block is f-hat(empty).
     sizes = _count_head_reads(monkeypatch)

@@ -6,13 +6,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hsf import (
     DegenerateLtfError,
     INFINITE_INDEX,
     InvalidInputError,
     CapExceededError,
+    Ltf,
     canonical_linear_form,
+    canonical_table,
     canonicalize,
     critical_index,
     head_mask,
@@ -103,6 +107,67 @@ class TestCanonicalize:
         assert np.array_equal(tiny.values, truth_table(canonicalize([1.0, 1.0], 0.0)).values)
         with pytest.raises(InvalidInputError, match="theta"):
             canonicalize([1e-300, 1e-300], 1e300)
+
+
+# Fields of a valid two-input Ltf that each bad case below overrides.
+_GOOD_FIELDS = dict(weights=[0.8, 0.6], theta=0.0, original_index=[1, 0], dropped=(), n_inputs=2)
+_PARTITION = r"original_index and dropped must hold each of range\(n_inputs\) once"
+
+
+class TestLtfInvariants:
+    @pytest.mark.parametrize("fields, message", [
+        pytest.param(dict(weights=[0.6, 0.8], original_index=[0, 1], n_inputs=1),
+                     "non-increasing magnitude", id="increasing-weights-past-arity"),
+        pytest.param(dict(weights=[0.6, -0.8]), "non-increasing magnitude",
+                     id="increasing-magnitude"),
+        pytest.param(dict(original_index=[0, 5]), _PARTITION, id="index-past-arity"),
+        pytest.param(dict(original_index=[0, 0]), _PARTITION, id="index-repeated"),
+        pytest.param(dict(dropped=(2,)), _PARTITION, id="dropped-past-arity"),
+        pytest.param(dict(dropped=(1,), n_inputs=3), _PARTITION, id="dropped-also-active"),
+        pytest.param(dict(n_inputs=3), _PARTITION, id="coordinate-missing"),
+        pytest.param(dict(original_index=[0]), "one int coordinate per weight", id="index-short"),
+        pytest.param(dict(original_index=[0.0, 1.0]), "one int coordinate per weight",
+                     id="index-float"),
+        pytest.param(dict(weights=[np.nan, 0.6]), "weights must be finite", id="nan-weight"),
+        pytest.param(dict(weights=[np.inf, 0.6]), "weights must be finite", id="inf-weight"),
+        pytest.param(dict(weights=[[0.8, 0.6]]), "nonempty 1-D", id="2d-weights"),
+        pytest.param(dict(weights=[], original_index=[], n_inputs=0), "nonempty 1-D",
+                     id="no-weights"),
+        pytest.param(dict(theta=math.nan), r"theta must be in \(-inf, inf\)", id="nan-theta"),
+        pytest.param(dict(theta=math.inf), r"theta must be in \(-inf, inf\)", id="inf-theta"),
+        pytest.param(dict(n_inputs=2.0), "n_inputs must be an int", id="float-arity"),
+        pytest.param(dict(dropped=(1.5,), n_inputs=3), "dropped coordinate must be an int",
+                     id="float-dropped"),
+    ])
+    def test_bad_fields_are_refused(self, fields, message):
+        with pytest.raises(InvalidInputError, match=message):
+            Ltf(**{**_GOOD_FIELDS, **fields})
+
+    def test_good_fields_are_kept(self):
+        lt = Ltf(**{**_GOOD_FIELDS, "dropped": [2], "n_inputs": np.int64(3), "theta": 1})
+        assert lt.dropped == (2,) and type(lt.n_inputs) is int and type(lt.theta) is float
+        assert not lt.weights.flags.writeable and not lt.original_index.flags.writeable
+        assert truth_table(lt).values.tolist() == canonical_table(lt).values[
+            [0, 2, 1, 3, 4, 6, 5, 7]].tolist()
+
+    def test_an_underflowed_active_weight_is_kept(self):
+        lt = canonicalize([1e308, 1e-308], 0.0)
+        assert lt.weights.tolist() == [1.0, 0.0] and lt.dropped == ()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12), st.integers(-300, 299), st.integers(0, 2**32 - 1))
+    def test_every_canonical_form_rebuilds(self, n, scale, seed):
+        rng = np.random.default_rng(seed)
+        w = rng.standard_normal(n) * 10.0 ** (scale + rng.integers(-8, 9, size=n))
+        w[rng.random(n) < 0.2] = 0.0
+        if not np.any(w):
+            w[0] = 10.0**scale
+        theta = float(rng.standard_normal()) * float(np.max(np.abs(w)))
+        lt = canonicalize(w, theta)
+        again = Ltf(lt.weights, lt.theta, lt.original_index, lt.dropped, lt.n_inputs)
+        assert again.weights.tobytes() == lt.weights.tobytes()
+        assert again.original_index.tolist() == lt.original_index.tolist()
+        assert (again.theta, again.dropped, again.n_inputs) == (lt.theta, lt.dropped, lt.n_inputs)
 
 
 class TestEvaluation:
