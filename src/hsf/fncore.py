@@ -38,10 +38,10 @@ MAX_ARITY_CAP = 24
 # casts and intp bins) independently of the arity.
 _CHUNK = 1 << 16
 
-# Multiply-adds per matrix product in the transform and in the degree weights
-# of its spectra.  OpenBLAS runs products up to this size on one thread;
-# threaded ones stalled whenever another process held the second core (0.5 ms
-# became 12-16 ms at n = 16).
+# Multiply-adds per matrix product in the transform and in the degree weights.
+# OpenBLAS runs products up to this size on one thread; threaded ones stalled
+# whenever another process held the second core (0.5 ms became 12-16 ms at
+# n = 16).
 _MACS = 1 << 18
 
 # Sylvester's Hadamard matrix of order 64; its leading 2**k block has order 2**k.
@@ -85,13 +85,14 @@ class BooleanFunction:
         return hash((self.arity, self.values.tobytes()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FourierSpectrum:
     """All 2**arity Fourier coefficients, indexed by variable-set bitmask.
 
-    The coefficients are always a private read-only copy of the caller's
-    array, so no later write through another reference (a writable base of
-    a read-only view, say) can reach them or the memoized degree weights.
+    The coefficients must be finite.  They are always a private read-only
+    copy of the caller's array, so no later write through another reference
+    (a writable base of a read-only view, say) can reach them or the memoized
+    degree weights.
     """
 
     arity: int
@@ -104,6 +105,8 @@ class FourierSpectrum:
                 f"spectrum for arity {self.arity} needs {1 << self.arity} coefficients, "
                 f"got shape {coeffs.shape}"
             )
+        if not np.all(np.isfinite(coeffs)):
+            raise InvalidInputError("coefficients must be finite")
         object.__setattr__(self, "coefficients", _bits.read_only(coeffs.copy()))
 
     def total_weight(self) -> float:
@@ -114,13 +117,29 @@ class FourierSpectrum:
     def degree_weights(self) -> np.ndarray:
         """Read-only squared coefficient mass per degree, computed on first use.
 
-        Entry d sums the squares over |S| = d in index order, by one np.bincount.
-        For a +-1 table's spectrum each partial sum is a multiple of 4**-n of
-        at most 1: exact in any order for n <= 26.
+        Each row of 2**low squares (low = min(arity, 6)) is summed per low-bit
+        popcount by float64 products with _LOW_DEGREE of at most 2**15 squares
+        each (under _MACS multiply-adds), then per row popcount by one
+        np.bincount per low degree, 2**16 squares at a time.  For a +-1 table's
+        spectrum every partial sum is a multiple of 4**-n of at most 1: exact
+        in any order for n <= 26.
         """
-        squares = self.coefficients * self.coefficients
-        return _bits.read_only(
-            np.bincount(_bits.popcounts(self.arity), weights=squares, minlength=self.arity + 1))
+        n = self.arity
+        low = min(n, 6)
+        rows = self.coefficients.reshape(-1, 1 << low)
+        indicator = _LOW_DEGREE[:1 << low, :low + 1]
+        high = _bits.popcounts(n - low)
+        totals = np.zeros(n + 1)
+        step = _CHUNK >> low  # rows per np.bincount
+        span = min(step, len(rows), (_MACS // 8) >> low)  # rows per product
+        for lo in range(0, len(rows), step):
+            squares = np.square(rows[lo:lo + step]).reshape(-1, span, 1 << low)
+            by_low = np.matmul(squares, indicator).reshape(-1, low + 1)
+            del squares  # before the next chunk's squares exist
+            for d in range(low + 1):
+                totals[d:d + n - low + 1] += np.bincount(
+                    high[lo:lo + step], weights=by_low[:, d], minlength=n - low + 1)
+        return _bits.read_only(totals)
 
 
 def _butterfly(a: np.ndarray) -> np.ndarray:
@@ -186,53 +205,19 @@ def _hadamard_coefficients(values: np.ndarray, n: int) -> np.ndarray:
     return coeffs
 
 
-def _table_degree_weights(coefficients: np.ndarray, n: int) -> np.ndarray:
-    # Degree weights of a +-1 table's spectrum, read-only.  Each row of 2**low
-    # squares is summed per low-bit popcount by float64 products with
-    # _LOW_DEGREE of at most 2**15 squares each (under _MACS multiply-adds),
-    # then per row popcount by one np.bincount per low degree.  Every partial
-    # sum is a multiple of 4**-n of at most 1, exact in any order for n <= 26,
-    # so the bytes equal FourierSpectrum.degree_weights.
-    low = min(n, 6)
-    rows = coefficients.reshape(-1, 1 << low)
-    indicator = _LOW_DEGREE[:1 << low, :low + 1]
-    high = _bits.popcounts(n - low)
-    totals = np.zeros(n + 1)
-    step = _CHUNK >> low  # rows per np.bincount
-    span = min(step, len(rows), (_MACS // 8) >> low)  # rows per product
-    for lo in range(0, len(rows), step):
-        squares = np.square(rows[lo:lo + step]).reshape(-1, span, 1 << low)
-        by_low = np.matmul(squares, indicator).reshape(-1, low + 1)
-        del squares  # before the next chunk's squares exist
-        for d in range(low + 1):
-            totals[d:d + n - low + 1] += np.bincount(
-                high[lo:lo + step], weights=by_low[:, d], minlength=n - low + 1)
-    return _bits.read_only(totals)
-
-
-class _TableSpectrum(FourierSpectrum):
-    # The spectrum of a +-1 table, as wht returns it: its degree weights take
-    # the route exact for such spectra, still computed on first use.
-
-    @functools.cached_property
-    def degree_weights(self) -> np.ndarray:
-        return _table_degree_weights(self.coefficients, self.arity)
-
-
 def wht(f: BooleanFunction) -> FourierSpectrum:
     """Fourier coefficients of ``f`` via the fast transform.
 
     One exact float32 Kronecker pass per six bits (see the module docstring),
     the last scaled by 2**-n and widened to the float64 result: exact, so each
-    coefficient equals the exact integer sum divided by 2**n bit for bit.  The
-    spectrum's ``degree_weights`` take a route exact for +-1 tables, with the
-    same bytes as for any other spectrum.
+    coefficient equals the exact integer sum divided by 2**n bit for bit, and
+    the spectrum's ``degree_weights`` are exact too.
 
     Raises CapExceededError for arities above MAX_ARITY_CAP (24), where the
     float32 sums would round.
     """
     n = check_cap("arity", f.arity, MAX_ARITY_CAP)
-    return _bits.adopt(_TableSpectrum, arity=n, coefficients=_hadamard_coefficients(f.values, n))
+    return _bits.adopt(FourierSpectrum, arity=n, coefficients=_hadamard_coefficients(f.values, n))
 
 
 def synthesize(spectrum: FourierSpectrum) -> np.ndarray:

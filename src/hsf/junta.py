@@ -128,7 +128,7 @@ class HeadProjection:
     frac_unbiased: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Instance:
     """A threshold function with its exact truth table and spectrum.
 
@@ -143,7 +143,7 @@ class Instance:
     table: BooleanFunction
     spectrum: FourierSpectrum
     # eps -> (ns_exact(spectrum, eps), critical_index(ltf, eps)), filled by extract_junta.
-    _per_eps: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _per_eps: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.ltf.n_inputs == self.table.arity == self.spectrum.arity:

@@ -37,7 +37,7 @@ INFINITE_INDEX = math.inf
 _BLOCK_BITS = 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ltf:
     """Canonical threshold function.
 
@@ -90,7 +90,7 @@ class Ltf:
         return int(out[0]) if single else out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegularityProfile:
     """Tail norms sigma_k = l2 norm of weights from sorted position k on.
 

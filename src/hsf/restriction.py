@@ -51,7 +51,7 @@ class ThresholdCorollary:
     holds: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NsAggregation:
     """Noise sensitivity of a function against the mean over restrictions."""
 

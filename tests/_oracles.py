@@ -7,10 +7,14 @@ flipping one variable at a time, and the tail-ratio references go through
 mpmath at high precision.  The per-instance kernels (Walsh-Hadamard butterfly,
 linear-form table, popcounts, degree weights, restriction, bias profiles)
 are kept here in their original float64, blockwise and bit-loop forms, which
-the fast kernels must match byte for byte.  The bit-loop junta lift and table
-comparison are the oracle of the distances extractions report, and the verdict
-rule that rebuilt each case's bound from delta is the oracle of the verdicts.
+the fast kernels must match byte for byte; the degree weights of arbitrary
+real spectra are held to one correctly rounded math.fsum per degree instead.
+The bit-loop junta lift and table comparison are the oracle of the distances
+extractions report, and the verdict rule that rebuilt each case's bound from
+delta is the oracle of the verdicts.
 """
+
+import math
 
 import mpmath
 import numpy as np
@@ -115,6 +119,13 @@ def slow_degree_weights(coefficients: np.ndarray, n: int) -> np.ndarray:
     """Squared coefficient mass per degree from one plain bincount."""
     sq = coefficients * coefficients
     return np.bincount(slow_popcounts(n), weights=sq, minlength=n + 1)
+
+
+def fsum_degree_weights(coefficients: np.ndarray, n: int) -> np.ndarray:
+    """Squared coefficient mass per degree, one math.fsum of the squares each."""
+    sq = coefficients * coefficients
+    degrees = slow_popcounts(n)
+    return np.array([math.fsum(sq[degrees == d]) for d in range(n + 1)])
 
 
 def _packed_index(positions, arity: int) -> np.ndarray:

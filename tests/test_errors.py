@@ -30,6 +30,7 @@ from hsf import (
     random_function,
     random_ltf,
     regular_cdf_gap,
+    regularity_profile,
     save_ltf_file,
     tail_ratio,
     tail_ratio_check,
@@ -46,7 +47,7 @@ _AGG = ns_aggregation_check(random_function(4, seed=0), 0b11, 0.1)
 # too large for the float arithmetic that follows; arity caps above 24; seeds
 # numpy rejects; points, tables and weights of the wrong shape or type; weights
 # JSON cannot hold; real arrays and grids with entries that are not bools, ints
-# or floats.
+# or floats; spectra with a coefficient that is not finite.
 _JUNK_CALLS = {
     "extract_junta-str-eps": lambda: extract_junta(_LT, "x", 0.5),
     "extract_junta-none-eps": lambda: extract_junta(_LT, None, 0.5),
@@ -85,6 +86,9 @@ _JUNK_CALLS = {
     "save_ltf_file-nan-weight": lambda: save_ltf_file(os.devnull, [1.0, np.nan], 0.0),
     "save_ltf_file-inf-theta": lambda: save_ltf_file(os.devnull, [1.0], np.inf),
     "FourierSpectrum-none-coefficient": lambda: FourierSpectrum(1, [None, 0.0]),
+    "FourierSpectrum-nan-coefficient": lambda: FourierSpectrum(1, [np.nan, 0.0]),
+    "FourierSpectrum-inf-coefficient": lambda: FourierSpectrum(1, [np.inf, 0.0]),
+    "FourierSpectrum-minus-inf-coefficient": lambda: FourierSpectrum(1, [0.5, -np.inf]),
     "gaussian_cdf-none-entry": lambda: gaussian_cdf([0.0, None]),
     "gaussian_tail-str-theta": lambda: gaussian_tail("x"),
     "tail_ratio-str-theta": lambda: tail_ratio("x"),
@@ -97,6 +101,26 @@ _JUNK_CALLS = {
 def test_junk_scalars_raise_invalid_input(call):
     with pytest.raises(InvalidInputError):
         call()
+
+
+# Records holding arrays, two equal-valued instances of each: they compare and
+# hash by identity, never by numpy's elementwise ==.
+_RECORDS = {
+    "Ltf": lambda: canonicalize([3.0, 1.0, 1.0], 0.2),
+    "FourierSpectrum": lambda: wht(_F),
+    "Instance": lambda: prepare(_LT),
+    "RegularityProfile": lambda: regularity_profile(_LT),
+    "NsAggregation": lambda: ns_aggregation_check(random_function(4, seed=0), 0b11, 0.1),
+}
+
+
+@pytest.mark.parametrize("make", _RECORDS.values(), ids=_RECORDS.keys())
+def test_records_holding_arrays_compare_and_hash(make):
+    a, b = make(), make()
+    assert (a == b) is False and (a != b) is True
+    assert a == a and a in [a] and a not in [b]
+    assert hash(a) == hash(a)
+    assert {a: 1}[a] == 1
 
 
 def test_range_ends_and_types():

@@ -1,28 +1,28 @@
 """Per-instance kernels against their slow routes, byte for byte, and aliasing.
 
 The fast kernels (truth tables built in 2**16-entry blocks, doubling
-popcounts, single-bincount degree weights, cube-view restriction, axis-sum
-bias profiles) promise the same floating-point addition sequence, or the same
-gathered rows, as the slow routes in ``_oracles``, so equality is asserted on
-``tobytes()``, never with a tolerance.  Arities reach 18 so the 2**16-entry
-chunking boundary is crossed, and fixed cases with 17 and 21 active
-coordinates run the table's block path with one and five high bits.  The
-transform, one float32 Kronecker pass with the 64 x 64 Hadamard matrix per six
-bits inside the two halves of its float64 result, must match the float64
-butterfly divided by 2**n exactly up to arity 22, and the exact spectrum at
-arity 24, where its sums reach 2**24, the end of float32's exact integers.
-The degree weights of its spectra, by a route exact for +-1 tables, must equal
-one plain bincount, and the table, the transform and those weights must stay
-within their memory bounds.  The distance an
-extraction reads from block counts must equal, byte for byte, the distance of
-its junta lifted to the full table by the bit-loop oracle, in every case.  A
-prepared instance is built in sorted-position order, and everything an
-extraction reads from it must equal, byte for byte, the same value read from
-the input-order table, and an instance reused across (eps, delta) cells must
-report what fresh ones do.  The verdict of every such report must equal the
-rule that rebuilt each case's bound from delta, and an extraction reads the
-head blocks once on a head route and never on a constant one, so the golden
-sweep reads none.
+popcounts, cube-view restriction, axis-sum bias profiles) promise the same
+floating-point addition sequence, or the same gathered rows, as the slow
+routes in ``_oracles``, so equality is asserted on ``tobytes()``, never with a
+tolerance.  Arities reach 18 so the 2**16-entry chunking boundary is crossed,
+and fixed cases with 17 and 21 active coordinates run the table's block path
+with one and five high bits.  The transform, one float32 Kronecker pass with
+the 64 x 64 Hadamard matrix per six bits inside the two halves of its float64
+result, must match the float64 butterfly divided by 2**n exactly up to arity
+22, and the exact spectrum at arity 24, where its sums reach 2**24, the end of
+float32's exact integers.  The degree weights, one chunked route for every
+spectrum, must equal one plain bincount for the spectrum of a +-1 table, where
+every sum is exact, and stay within their chain of roundings of one math.fsum
+per degree for arbitrary reals; the table, the transform and those weights
+must stay within their memory bounds.  The distance an extraction reads from
+block counts must equal, byte for byte, the distance of its junta lifted to
+the full table by the bit-loop oracle, in every case.  A prepared instance is
+built in sorted-position order, and everything an extraction reads from it
+must equal, byte for byte, the same value read from the input-order table, and
+an instance reused across (eps, delta) cells must report what fresh ones do.
+The verdict of every such report must equal the rule that rebuilt each case's
+bound from delta, and an extraction reads the head blocks once on a head route
+and never on a constant one, so the golden sweep reads none.
 """
 
 import dataclasses
@@ -66,6 +66,7 @@ from hsf.noise import CHECK_TOL
 
 from _oracles import (
     delta_multiple_verdict,
+    fsum_degree_weights,
     junta_distance,
     slow_bias_profile,
     slow_butterfly,
@@ -159,12 +160,16 @@ def test_popcounts_match_bit_loop(n):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, MAX_N), st.integers(0, 2**32 - 1))
 @example(MAX_N, 0)
-def test_degree_weights_match_single_bincount(n, seed):
+def test_degree_weights_match_fsum_within_their_rounding_chain(n, seed):
     # Arbitrary reals, not only multiples of 2**-n, so every addition rounds.
+    # A degree's positive terms pass through one square, a 64-term row
+    # product, a bincount over at most 1,024 rows and 7 running totals per
+    # 2**16-entry chunk; each rounding adds at most 2**-53 relative error.
     coeffs = np.random.default_rng(seed).standard_normal(1 << n)
-    expected = slow_degree_weights(coeffs, n)
-    spectrum = FourierSpectrum(n, coeffs)
-    assert spectrum.degree_weights.tobytes() == expected.tobytes()
+    expected = fsum_degree_weights(coeffs, n)
+    roundings = 1 + 63 + 1023 + 7 * 2 ** max(0, n - 16)
+    error = np.abs(FourierSpectrum(n, coeffs).degree_weights - expected)
+    assert np.all(error <= roundings * 2.0**-53 * expected)
 
 
 @settings(max_examples=20, deadline=None)
@@ -173,8 +178,10 @@ def test_degree_weights_match_single_bincount(n, seed):
 def test_degree_weights_of_tables_match_single_bincount(wt):
     lt = canonicalize(*wt)
     spectrum = wht(truth_table(lt, cap=MAX_N))
+    assert type(spectrum) is FourierSpectrum
     expected = slow_degree_weights(spectrum.coefficients, lt.n_inputs)
-    assert spectrum.degree_weights.tobytes() == expected.tobytes()
+    for spec in (spectrum, FourierSpectrum(lt.n_inputs, spectrum.coefficients)):
+        assert spec.degree_weights.tobytes() == expected.tobytes()
 
 
 def _check_prepared_degree_weights(lt, cap):
@@ -201,23 +208,6 @@ def test_prepared_degree_weights_match_single_bincount_at_chunk_edges(n, family)
     rate = 0.9 if family == "geometric" else None
     lt = random_ltf(n, family, rate=rate, theta_law="gaussian:1", seed=n)
     _check_prepared_degree_weights(lt, n)
-
-
-def test_only_spectra_of_tables_take_the_table_route(monkeypatch):
-    # The route exact for +-1 tables serves the spectra wht returns; a spectrum
-    # built from arbitrary coefficients keeps the single bincount.
-    calls = []
-    table_route = hsf.fncore._table_degree_weights
-
-    def spy(coefficients, n):
-        calls.append(n)
-        return table_route(coefficients, n)
-
-    monkeypatch.setattr(hsf.fncore, "_table_degree_weights", spy)
-    spectrum = wht(random_function(7, seed=7))
-    spectrum.degree_weights
-    FourierSpectrum(7, spectrum.coefficients).degree_weights
-    assert calls == [7]
 
 
 def _check_restrict(f, head, index):
@@ -352,8 +342,8 @@ def test_wht_refuses_arities_where_float32_sums_round():
 
 def test_wht_products_stay_under_the_blas_threading_cutoff(monkeypatch):
     # OpenBLAS runs a product of at most 2**18 multiply-adds on one thread;
-    # each np.matmul call of the transform and of the degree weights of its
-    # spectra covers at most 2**16 entries.
+    # each np.matmul call of the transform and of the degree weights, of a
+    # table's spectrum or of arbitrary reals, covers at most 2**16 entries.
     shapes = []
     matmul = np.matmul
 
@@ -365,6 +355,7 @@ def test_wht_products_stay_under_the_blas_threading_cutoff(monkeypatch):
     monkeypatch.setattr(np, "matmul", spy)
     for n in (0, 5, 7, 16, 19, 22):
         wht(random_function(n, seed=n, cap=n)).degree_weights
+    FourierSpectrum(20, np.random.default_rng(20).standard_normal(1 << 20)).degree_weights
     assert shapes
     for (rows, inner), cols, entries in shapes:
         assert rows * inner * cols <= 1 << 18 and entries <= 1 << 16
@@ -388,22 +379,27 @@ def test_canonical_table_stays_within_its_memory_bound():
 def test_wht_and_degree_weights_stay_within_memory_bounds():
     # The transform runs inside its float64 result: 8 bytes an entry.  A
     # float32 spare, or a buffer kept alive by a view that outlives its pass,
-    # breaks the first bound; squaring the whole spectrum at once breaks the
-    # second.
+    # breaks the first bound; squaring a whole spectrum at once, or a 2**n
+    # popcount array, breaks the second, for a table's spectrum and for
+    # arbitrary reals alike.
     n = 20
     f = random_function(n, seed=n)
+    normal = FourierSpectrum(n, np.random.default_rng(n).standard_normal(1 << n))
+    fills = []
     tracemalloc.start()
     try:
         spectrum = wht(f)
         _, wht_peak = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        before, _ = tracemalloc.get_traced_memory()
-        spectrum.degree_weights
-        _, fill_peak = tracemalloc.get_traced_memory()
+        for spec in (spectrum, normal):
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            spec.degree_weights
+            _, fill_peak = tracemalloc.get_traced_memory()
+            fills.append(fill_peak - before)
     finally:
         tracemalloc.stop()
     assert wht_peak <= 8 * (1 << n) + (1 << 20)
-    assert fill_peak - before <= 1 << 20
+    assert max(fills) <= 1 << 20
 
 
 @pytest.mark.parametrize("n", [0, 1, 3, 9, 14])
@@ -434,7 +430,7 @@ class TestAliasing:
         assert not np.shares_memory(arr, spectrum.coefficients)
 
     def test_degree_weights_memo_is_read_only(self):
-        # Both routes: the spectrum of a table and one of arbitrary coefficients.
+        # The spectrum of a table and one of arbitrary coefficients.
         for spectrum in (wht(random_function(7, seed=2)),
                          FourierSpectrum(2, [0.5, 0.5, 0.5, -0.5])):
             before = ns_exact(spectrum, 0.1)
