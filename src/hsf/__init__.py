@@ -28,12 +28,11 @@ _HOME = {
     for module, names in {
         "errors": "CapExceededError DegenerateLtfError HsfError InvalidInputError",
         "fncore": "BooleanFunction FourierSpectrum random_function synthesize wht",
-        "junta": "Diagnostics HeadProjection Instance JuntaCase JuntaReport TheoremConfig "
-        "Verdict extract_junta head_projection junta_budget premise_bound prepare "
-        "theorem_verify",
+        "junta": "Diagnostics HeadProjection Instance JuntaCase JuntaReport Verdict "
+        "extract_junta head_projection junta_budget premise_bound prepare theorem_verify",
         "ltf": "INFINITE_INDEX Ltf RegularityProfile canonical_linear_form canonical_table "
-        "canonicalize critical_index head_mask linear_form load_ltf_file parse_theta_law "
-        "random_ltf regularity_profile save_ltf_file truth_table",
+        "canonicalize critical_index head_mask linear_form load_ltf_file random_ltf "
+        "regularity_profile save_ltf_file truth_table",
         "noise": "ConstantBoundCheck McEstimate QuadrantComparison TailRatioBand "
         "bivariate_rectangle boolean_pair_quadrant_mc constant_bound_check gaussian_cdf "
         "gaussian_disagreement gaussian_ns_bound gaussian_ns_mc gaussian_tail "

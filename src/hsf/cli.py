@@ -33,7 +33,7 @@ import numpy as np
 from . import __version__, _bits
 from .errors import HsfError, InvalidInputError, check_cap, check_int
 from .fncore import DEFAULT_ARITY_CAP, MAX_ARITY_CAP, random_function, wht
-from .junta import TheoremConfig, extract_junta, junta_budget, prepare, theorem_verify
+from .junta import extract_junta, junta_budget, premise_bound, prepare, theorem_verify
 from .ltf import (
     canonicalize,
     critical_index,
@@ -63,10 +63,7 @@ _SWEEP_DELTAS = "0.05,0.1,0.2"
 _JUNTA_HEADER = (
     "case,junta_size,L,ell,ns,premise_bound,premise_holds,distance,guarantee,verdict"
 )
-_SWEEP_HEADER = (
-    "family,rate,instance,n,theta,epsilon,delta,case,junta_size,L,ell,ns,"
-    "premise_bound,premise_holds,distance,guarantee,verdict"
-)
+_SWEEP_HEADER = "family,rate,instance,n,theta,epsilon,delta," + _JUNTA_HEADER
 _GAUSSIAN_HEADER = "theta,rho,bound,mc_value,mc_radius,holds"
 _CHECKS_HEADER = "check,instance_seed,lhs,rhs,gap,holds"
 _ANALYZE_HEADER = "section,key,value"
@@ -79,7 +76,7 @@ def _fmt(value) -> str:
         return ""
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+    if isinstance(value, (int, np.integer)):
         return str(int(value))
     text = str(value)
     if any(ch in text for ch in ',"\r\n'):
@@ -209,9 +206,10 @@ def _junta_row(report, verdict) -> tuple:
 
 def cmd_junta(args: argparse.Namespace) -> int:
     lt = load_ltf_file(args.ltf)
-    config = TheoremConfig(c_ns=args.c_ns, c_l=args.c_l)
-    junta_budget(args.epsilon, args.delta, config.c_l)  # before the table
-    report = extract_junta(prepare(lt, cap=args.max_n), args.epsilon, args.delta, config)
+    premise_bound(args.epsilon, args.delta, args.c_ns)  # both before the table
+    junta_budget(args.epsilon, args.delta, args.c_l)
+    report = extract_junta(prepare(lt, cap=args.max_n), args.epsilon, args.delta,
+                           c_ns=args.c_ns, c_l=args.c_l)
     verdict = theorem_verify(report)
     d = report.diagnostics
     coords = _bits.bit_positions(report.junta_set)
@@ -240,14 +238,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     deltas = _floats(args.deltas, "--deltas")
     check_int("--count", args.count, 0)
     check_cap("arity", args.n, args.max_n)  # before any n-long draw
-    config = TheoremConfig(c_ns=args.c_ns, c_l=args.c_l)
     # Every argument a cell checks, checked before the first table.
     for family, rate in families:
         random_ltf(args.n, family, rate=rate, theta_law=args.theta_law, seed=0)
     families = [(family, rate if rate is None else float(rate)) for family, rate in families]
     for eps in epsilons:
         for delta in deltas:
-            junta_budget(eps, delta, config.c_l)
+            premise_bound(eps, delta, args.c_ns)
+            junta_budget(eps, delta, args.c_l)
     rows: list[tuple] = []
     failed = False
     index = 0
@@ -260,7 +258,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             instance = prepare(lt, cap=args.max_n)
             for eps in epsilons:
                 for delta in deltas:
-                    report = extract_junta(instance, eps, delta, config)
+                    report = extract_junta(instance, eps, delta, c_ns=args.c_ns, c_l=args.c_l)
                     verdict = theorem_verify(report)
                     failed = failed or not verdict.passed
                     rows.append(

@@ -89,10 +89,10 @@ class BooleanFunction:
 class FourierSpectrum:
     """All 2**arity Fourier coefficients, indexed by variable-set bitmask.
 
-    The coefficients must be finite.  They are always a private read-only
-    copy of the caller's array, so no later write through another reference
-    (a writable base of a read-only view, say) can reach them or the memoized
-    degree weights.
+    The coefficients and their sum of squares must be finite.  They are
+    always a private read-only copy of the caller's array, so no later write
+    through another reference (a writable base of a read-only view, say) can
+    reach them or the memoized degree weights.
     """
 
     arity: int
@@ -105,8 +105,9 @@ class FourierSpectrum:
                 f"spectrum for arity {self.arity} needs {1 << self.arity} coefficients, "
                 f"got shape {coeffs.shape}"
             )
-        if not np.all(np.isfinite(coeffs)):
-            raise InvalidInputError("coefficients must be finite")
+        with np.errstate(over="ignore"):  # an overflowing sum is refused, not warned about
+            if not np.isfinite(np.dot(coeffs, coeffs)):
+                raise InvalidInputError("coefficients and their sum of squares must be finite")
         object.__setattr__(self, "coefficients", _bits.read_only(coeffs.copy()))
 
     def total_weight(self) -> float:

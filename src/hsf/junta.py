@@ -53,25 +53,6 @@ class JuntaCase(str, enum.Enum):
 
 
 @dataclass(frozen=True)
-class TheoremConfig:
-    """Empirical constants of the theorem.
-
-    ``c_ns`` scales the premise bound and ``c_l`` the head budget; both must
-    be finite and positive.  The premise exponent (2 - eps) / (1 - eps), the
-    validity range (VALIDITY_LIMIT) and the head cap
-    (:data:`~hsf.restriction.HEAD_CAP`) are fixed; the arity cap is
-    :func:`prepare`'s.
-    """
-
-    c_ns: float = 1.0
-    c_l: float = 1.0
-
-    def __post_init__(self) -> None:
-        check_range("c_ns", self.c_ns, 0, math.inf, open_lo=True, open_hi=True)
-        check_range("c_l", self.c_l, 0, math.inf, open_lo=True, open_hi=True)
-
-
-@dataclass(frozen=True)
 class Diagnostics:
     """Everything needed to audit a report; nan marks fields a case skips."""
 
@@ -214,13 +195,13 @@ def head_projection(f: BooleanFunction, head: int, delta: float) -> HeadProjecti
     resulting junta is then within 3 * delta of f, and the squared projection
     residual of the overwritten function stays below 2 * delta.
     """
+    delta = check_range("delta", delta, 0, 1, open_lo=True)
     frac, certified, residual_sq, block_means = _project(bias_profile(f, head), delta)
     return HeadProjection(_signs(block_means), certified, residual_sq, frac)
 
 
 def _project(biases: np.ndarray, delta: float) -> tuple[float, bool, float, np.ndarray]:
     # The rule of head_projection: (frac unbiased, certified, residual^2, block means).
-    delta = check_range("delta", delta, 0, 1, open_lo=True)
     unbiased = np.abs(biases) <= 1.0 - delta
     frac = float(np.count_nonzero(unbiased)) / biases.size
     # Projection onto head functions is blockwise conditional expectation, so
@@ -233,7 +214,9 @@ def extract_junta(
     instance: Instance | Ltf,
     epsilon: float,
     delta: float,
-    config: TheoremConfig | None = None,
+    *,
+    c_ns: float = 1.0,
+    c_l: float = 1.0,
 ) -> JuntaReport:
     """Classify a threshold function and build its junta approximator.
 
@@ -244,9 +227,12 @@ def extract_junta(
     decides between a constant (index 1), a head construction (index within
     budget: projection when few head blocks are unbiased, otherwise the
     premise-violation case with a best-effort junta), and the head-budget
-    junta (index beyond budget).
+    junta (index beyond budget).  The theorem's empirical constants, both
+    finite and positive, are ``c_ns``, which scales the premise bound, and
+    ``c_l``, which scales the head budget.  The premise exponent (2 - eps) /
+    (1 - eps), the validity range (VALIDITY_LIMIT) and the head cap
+    (:data:`~hsf.restriction.HEAD_CAP`) are fixed; the arity cap is prepare's.
     """
-    config = config or TheoremConfig()
     epsilon, delta = _check_eps_delta(epsilon, delta)
     if isinstance(instance, Ltf):
         instance = prepare(instance)
@@ -255,9 +241,9 @@ def extract_junta(
     if epsilon not in instance._per_eps:  # neither value depends on delta
         instance._per_eps[epsilon] = (ns_exact(spectrum, epsilon), critical_index(ltf, epsilon))
     ns_value, ell = instance._per_eps[epsilon]
-    bound = premise_bound(epsilon, delta, config.c_ns)
+    bound = premise_bound(epsilon, delta, c_ns)
     premise_holds = ns_value <= bound
-    budget = junta_budget(epsilon, delta, config.c_l)
+    budget = junta_budget(epsilon, delta, c_l)
     small_delta = delta ** (1.0 / (1.0 - epsilon)) < math.sqrt(epsilon)
     within = epsilon <= VALIDITY_LIMIT and delta <= VALIDITY_LIMIT
 

@@ -256,22 +256,6 @@ def head_mask(ltf: Ltf, size: int) -> int:
     return mask
 
 
-def parse_theta_law(law: str) -> tuple[str, float]:
-    """Parse 'zero', 'fixed:<v>', or 'gaussian:<scale>' into (kind, value)."""
-    if not isinstance(law, str):
-        raise InvalidInputError(f"theta law must be a string, got {law!r}")
-    if law == "zero":
-        return "zero", 0.0
-    kind, sep, raw = law.partition(":")
-    if kind in ("fixed", "gaussian") and sep:
-        fixed = kind == "fixed"  # a gaussian scale is nonnegative
-        return kind, check_range(f"value of theta law {law!r}", raw, -math.inf if fixed else 0,
-                                 math.inf, open_lo=fixed, open_hi=True)
-    raise InvalidInputError(
-        f"unknown theta law {law!r}; expected 'zero', 'fixed:<v>' or 'gaussian:<scale>'"
-    )
-
-
 def random_ltf(
     n: int,
     family: str,
@@ -283,10 +267,10 @@ def random_ltf(
     """Seeded instance from a named weight family, already canonicalized.
 
     Families: 'equal' (all-ones weights), 'gaussian' (iid standard normal),
-    'geometric' (w_i = rate**i, rate in (0, 1) required).  The theta law
-    'gaussian:<scale>' draws the canonical threshold as scale * N(0, 1); the
-    draw happens after the weights, so instances with the same seed share
-    weights across theta laws.
+    'geometric' (w_i = rate**i, rate in (0, 1) required).  Theta laws: 'zero',
+    'fixed:<v>', and 'gaussian:<scale>', which draws the canonical threshold
+    as scale * N(0, 1) after the weights, so instances with the same seed
+    share weights across theta laws.
     """
     check_int("n", n, 1)
     if family not in ("equal", "gaussian", "geometric"):
@@ -297,7 +281,18 @@ def random_ltf(
         rate = check_range("rate", rate, 0, 1, open_lo=True, open_hi=True)
     elif rate is not None:
         raise InvalidInputError(f"family {family!r} takes no rate")
-    law_kind, law_value = parse_theta_law(theta_law)
+    if not isinstance(theta_law, str):
+        raise InvalidInputError(f"theta law must be a string, got {theta_law!r}")
+    kind, sep, raw = theta_law.partition(":")
+    if theta_law == "zero":
+        value = 0.0
+    elif kind in ("fixed", "gaussian") and sep:
+        fixed = kind == "fixed"  # a gaussian scale is nonnegative
+        value = check_range(f"value of theta law {theta_law!r}", raw, -math.inf if fixed else 0,
+                            math.inf, open_lo=fixed, open_hi=True)
+    else:
+        raise InvalidInputError(f"unknown theta law {theta_law!r}; "
+                                "expected 'zero', 'fixed:<v>' or 'gaussian:<scale>'")
     rng = _bits.rng(seed)
     if family == "equal":
         weights = np.ones(n)
@@ -307,13 +302,9 @@ def random_ltf(
             raise DegenerateLtfError("gaussian draw produced an all-zero vector")
     else:
         weights = rate ** np.arange(1, n + 1, dtype=np.float64)
-    if law_kind == "zero":
-        theta = 0.0
-    elif law_kind == "fixed":
-        theta = law_value
-    else:
-        theta = law_value * rng.standard_normal() * float(np.linalg.norm(weights))
-    return canonicalize(weights, theta)
+    if kind == "gaussian":  # the golden theta column depends on this order of products
+        value = value * rng.standard_normal() * float(np.linalg.norm(weights))
+    return canonicalize(weights, value)
 
 
 def save_ltf_file(path, weights, theta: float) -> None:

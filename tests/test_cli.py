@@ -92,6 +92,8 @@ _BAD_INPUTS = [
           ("theta-law", ["--theta-law", "bogus"], "unknown theta law 'bogus'"),
           ("n", ["--n", "0"], "n must be in [1, inf], got 0"),
           ("epsilon", ["--epsilons", "0.7"], "epsilon must be in (0, 0.5], got 0.7"),
+          ("c-ns", ["--c-ns", "nan"], "c_ns must be in (0, inf), got nan"),
+          ("c-l", ["--c-l", "inf"], "c_l must be in (0, inf), got inf"),
       ]),
     pytest.param(_VALID_ARGV["analyze"], ["--taus", "x"], None,
                  "--taus expects comma-separated reals, got 'x'", id="analyze-taus-not-real"),
@@ -139,6 +141,8 @@ class TestBadInputs:
     @pytest.mark.parametrize("command, extra, work", [
         pytest.param("analyze", ["--taus", "x"], ["prepare"], id="analyze-taus-not-real"),
         pytest.param("analyze", ["--taus", "2"], ["prepare"], id="analyze-tau-past-one"),
+        pytest.param("junta", ["--c-ns", "nan"], ["prepare"], id="junta-c-ns-not-finite"),
+        pytest.param("sweep", ["--c-ns", "nan"], ["prepare"], id="sweep-c-ns-not-finite"),
         pytest.param("checks", ["--samples", "0"], _CHECK_BLOCKS, id="checks-no-samples"),
         pytest.param("checks", ["--max-n", "10"], _CHECK_BLOCKS,
                      id="checks-max-n-below-cdf-gap-arity"),

@@ -12,7 +12,6 @@ from hsf import (
     CapExceededError,
     FourierSpectrum,
     InvalidInputError,
-    TheoremConfig,
     bivariate_rectangle,
     boolean_pair_quadrant_mc,
     canonicalize,
@@ -47,7 +46,8 @@ _AGG = ns_aggregation_check(random_function(4, seed=0), 0b11, 0.1)
 # too large for the float arithmetic that follows; arity caps above 24; seeds
 # numpy rejects; points, tables and weights of the wrong shape or type; weights
 # JSON cannot hold; real arrays and grids with entries that are not bools, ints
-# or floats; spectra with a coefficient that is not finite.
+# or floats; spectra with a coefficient or a sum of squares that is not finite.
+# None of them may warn on the way to its refusal.
 _JUNK_CALLS = {
     "extract_junta-str-eps": lambda: extract_junta(_LT, "x", 0.5),
     "extract_junta-none-eps": lambda: extract_junta(_LT, None, 0.5),
@@ -57,7 +57,7 @@ _JUNK_CALLS = {
     "BooleanFunction-float-arity": lambda: BooleanFunction(2.0, [1, 1, 1, 1]),
     "FourierSpectrum-negative-arity": lambda: FourierSpectrum(-1, []),
     "ns_exact-str-eps": lambda: ns_exact(wht(_F), "x"),
-    "TheoremConfig-str-c_ns": lambda: TheoremConfig(c_ns="x"),
+    "extract_junta-str-c_ns": lambda: extract_junta(_LT, 0.1, 0.1, c_ns="x"),
     "gaussian_ns_bound-str-theta": lambda: gaussian_ns_bound("x", 0.1),
     "canonicalize-str-theta": lambda: canonicalize([1.0], "x"),
     "bivariate_rectangle-str-endpoint": lambda: bivariate_rectangle((0, "x"), (0, 1), 0.5),
@@ -89,6 +89,9 @@ _JUNK_CALLS = {
     "FourierSpectrum-nan-coefficient": lambda: FourierSpectrum(1, [np.nan, 0.0]),
     "FourierSpectrum-inf-coefficient": lambda: FourierSpectrum(1, [np.inf, 0.0]),
     "FourierSpectrum-minus-inf-coefficient": lambda: FourierSpectrum(1, [0.5, -np.inf]),
+    "FourierSpectrum-overflowing-square": lambda: FourierSpectrum(1, [1e200, 0.0]),
+    "FourierSpectrum-overflowing-sum-of-squares":
+        lambda: FourierSpectrum(20, np.full(2**20, 1e152)),
     "gaussian_cdf-none-entry": lambda: gaussian_cdf([0.0, None]),
     "gaussian_tail-str-theta": lambda: gaussian_tail("x"),
     "tail_ratio-str-theta": lambda: tail_ratio("x"),
@@ -97,6 +100,7 @@ _JUNK_CALLS = {
 }
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("call", _JUNK_CALLS.values(), ids=_JUNK_CALLS.keys())
 def test_junk_scalars_raise_invalid_input(call):
     with pytest.raises(InvalidInputError):

@@ -1,6 +1,7 @@
 """Extraction engine: budgets, case routing, projections, and verdicts."""
 
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -12,7 +13,6 @@ from hsf import (
     INFINITE_INDEX,
     InvalidInputError,
     JuntaCase,
-    TheoremConfig,
     bias_profile,
     canonicalize,
     extract_junta,
@@ -70,11 +70,12 @@ class TestBudgetAndPremise:
             premise_bound(eps, delta)
 
     def test_config_validation(self):
-        with pytest.raises(InvalidInputError):
-            TheoremConfig(c_ns=0.0)
-        # The arity cap is prepare's alone.
-        assert [f.name for f in dataclasses.fields(TheoremConfig)] == ["c_ns", "c_l"]
         lt = canonicalize(np.ones(3), 0.0)
+        with pytest.raises(InvalidInputError):
+            extract_junta(lt, 0.1, 0.1, c_ns=0.0)
+        # The arity cap is prepare's alone.
+        assert list(inspect.signature(extract_junta).parameters) == [
+            "instance", "epsilon", "delta", "c_ns", "c_l"]
         with pytest.raises(CapExceededError, match="^arity 3 exceeds cap 0$"):
             prepare(lt, cap=0)
         assert prepare(lt, cap=MAX_ARITY_CAP).table.arity == 3
@@ -90,10 +91,11 @@ class TestBudgetAndPremise:
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_constants_must_be_finite(self, value):
+        lt = canonicalize(np.ones(3), 0.0)
         with pytest.raises(InvalidInputError, match=r"c_ns must be in \(0, inf\)"):
-            TheoremConfig(c_ns=value)
+            extract_junta(lt, 0.1, 0.1, c_ns=value)
         with pytest.raises(InvalidInputError, match=r"c_l must be in \(0, inf\)"):
-            TheoremConfig(c_l=value)
+            extract_junta(lt, 0.1, 0.1, c_l=value)
         with pytest.raises(InvalidInputError, match="c_l"):
             junta_budget(0.1, 0.1, c_l=value)
         with pytest.raises(InvalidInputError, match="c_ns"):
@@ -283,19 +285,19 @@ class TestCapsAndValidation:
         weights = np.concatenate([0.5 ** np.arange(1, 18), np.full(5, 1e-6)])
         instance = prepare(canonicalize(weights, 0.0), cap=22)
         with pytest.raises(CapExceededError, match="exceeds head cap 16"):
-            extract_junta(instance, 0.5, 0.9, TheoremConfig(c_l=70))
+            extract_junta(instance, 0.5, 0.9, c_l=70)
 
     def test_head_cap_in_budget_case(self):
         # Budget 17 below the 20 active coordinates: the budget head is too big.
         lt = canonicalize(0.6 ** np.arange(1, 21), 0.0)
         with pytest.raises(CapExceededError, match="exceeds head cap 16"):
-            extract_junta(lt, EPS, WIDE_DELTA, TheoremConfig(c_l=1.6))
+            extract_junta(lt, EPS, WIDE_DELTA, c_l=1.6)
 
     def test_whole_function_head_ignores_head_cap(self):
         # Budget 20 covers all 20 active coordinates: the table itself is the
         # junta, so no bias profile is taken and the head cap does not apply.
         lt = canonicalize(0.6 ** np.arange(1, 21), 0.0)
-        report = extract_junta(lt, EPS, WIDE_DELTA, TheoremConfig(c_l=1.8))
+        report = extract_junta(lt, EPS, WIDE_DELTA, c_l=1.8)
         assert report.case is JuntaCase.HEAD_JUNTA
         assert report.junta_size == 20
         assert report.distance == 0.0

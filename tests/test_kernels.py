@@ -40,7 +40,6 @@ from hsf import (
     BooleanFunction,
     FourierSpectrum,
     JuntaCase,
-    TheoremConfig,
     bias_profile,
     canonical_linear_form,
     canonical_table,
@@ -478,7 +477,7 @@ _CASE_INPUTS = [
 
 
 def _check_distance_against_lift(instance, epsilon, delta, c_l):
-    report = extract_junta(instance, epsilon, delta, TheoremConfig(c_l=c_l))
+    report = extract_junta(instance, epsilon, delta, c_l=c_l)
     table = truth_table(instance.ltf)  # instance.table is in sorted-position order
     assert type(report.distance) is float
     expected = junta_distance(table.values, report.approximator.values, report.junta_set,
@@ -561,9 +560,8 @@ def test_reused_instance_reports_equal_fresh_ones(args):
     lt = canonicalize(*wt)
     reused = prepare(lt)
     for eps, delta, c_ns, c_l in cells:
-        config = TheoremConfig(c_ns=c_ns, c_l=c_l)
-        got = extract_junta(reused, eps, delta, config)
-        want = extract_junta(prepare(lt), eps, delta, config)
+        got = extract_junta(reused, eps, delta, c_ns=c_ns, c_l=c_l)
+        want = extract_junta(prepare(lt), eps, delta, c_ns=c_ns, c_l=c_l)
         assert (got.case, got.junta_set, got.approximator) == (
             want.case, want.junta_set, want.approximator)
         assert np.float64(got.distance).tobytes() == np.float64(want.distance).tobytes()
@@ -582,7 +580,7 @@ def test_verdict_matches_the_delta_multiple_rule(args):
     wt, cells = args
     instance = prepare(canonicalize(*wt))
     for eps, delta, c_ns, c_l in cells:
-        report = extract_junta(instance, eps, delta, TheoremConfig(c_ns=c_ns, c_l=c_l))
+        report = extract_junta(instance, eps, delta, c_ns=c_ns, c_l=c_l)
         holding = dataclasses.replace(report.diagnostics, premise_holds=True)
         for judged in (report, *(dataclasses.replace(report, diagnostics=holding, distance=d)
                                  for d in (report.distance, 2.0 * delta))):
@@ -620,7 +618,7 @@ def test_sorted_position_instance_matches_input_order_table(wt):
     # large c_l the budget covers every active coordinate: the whole-fits route.
     ratios = np.abs(lt.weights) / regularity_profile(lt).tail_norms
     epsilon = min(0.49, 0.5 * float(ratios.min()))
-    report = extract_junta(instance, epsilon, 0.9, TheoremConfig(c_l=1e6))
+    report = extract_junta(instance, epsilon, 0.9, c_l=1e6)
     assert report.case is JuntaCase.HEAD_JUNTA and report.junta_size == lt.n_active
     rest = ((1 << lt.n_inputs) - 1) ^ report.junta_set
     assert report.approximator.values.tobytes() == restrict(table, rest, 0).values.tobytes()
@@ -642,7 +640,7 @@ def test_head_blocks_are_read_once_per_head_route(monkeypatch):
     sizes = _count_head_reads(monkeypatch)
     for case, lt, eps, delta, c_l, _ in _CASE_INPUTS:
         sizes.clear()
-        report = extract_junta(prepare(lt), eps, delta, TheoremConfig(c_l=c_l))
+        report = extract_junta(prepare(lt), eps, delta, c_l=c_l)
         assert str(report.case) == case
         assert sizes == ([report.junta_size] if report.junta_size else [])
 
@@ -662,7 +660,7 @@ def test_each_head_route_builds_its_junta_once(monkeypatch):
     for case, lt, eps, delta, c_l, _ in [*_CASE_INPUTS,
                                          ("IIa_PremiseViolated", demo, 0.25, 0.62, 1.0, False)]:
         sizes.clear()
-        report = extract_junta(prepare(lt), eps, delta, TheoremConfig(c_l=c_l))
+        report = extract_junta(prepare(lt), eps, delta, c_l=c_l)
         assert str(report.case) == case
         assert sizes == ([1 << report.junta_size] if report.junta_size else [])
         assert report.approximator.arity == report.junta_size
@@ -689,7 +687,7 @@ def test_instances_never_build_input_order_tables(monkeypatch):
     monkeypatch.setattr(hsf.ltf, "truth_table", refuse)
     assert not hasattr(hsf.junta, "truth_table")
     for case, lt, eps, delta, c_l, _ in _CASE_INPUTS:
-        report = extract_junta(prepare(lt), eps, delta, TheoremConfig(c_l=c_l))
+        report = extract_junta(prepare(lt), eps, delta, c_l=c_l)
         assert str(report.case) == case
 
 

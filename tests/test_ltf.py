@@ -22,7 +22,6 @@ from hsf import (
     head_mask,
     linear_form,
     load_ltf_file,
-    parse_theta_law,
     random_ltf,
     regularity_profile,
     save_ltf_file,
@@ -290,16 +289,18 @@ class TestRegularity:
 
 class TestThetaLawAndFamilies:
     def test_parse_theta_law_forms(self):
-        assert parse_theta_law("zero") == ("zero", 0.0)
-        assert parse_theta_law("fixed:-1.25") == ("fixed", -1.25)
-        assert parse_theta_law("gaussian:2") == ("gaussian", 2.0)
+        # Four equal weights have norm 2, so every canonical theta here is exact.
+        assert random_ltf(4, "equal", theta_law="zero", seed=3).theta == 0.0
+        assert random_ltf(4, "equal", theta_law="fixed:-1.25", seed=3).theta == -0.625
+        draw = np.random.default_rng(3).standard_normal()
+        assert random_ltf(4, "equal", theta_law="gaussian:2", seed=3).theta == 2.0 * draw
 
     @pytest.mark.parametrize(
         "law", ["", "zero:1", "fixed", "fixed:abc", "gaussian:-1", "gaussian:inf", "norm:1"]
     )
     def test_parse_theta_law_rejects(self, law):
         with pytest.raises(InvalidInputError):
-            parse_theta_law(law)
+            random_ltf(4, "equal", theta_law=law)
 
     def test_equal_family(self):
         lt = random_ltf(6, "equal", seed=1)
