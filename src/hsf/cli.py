@@ -393,13 +393,17 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None,
                         help="base seed (fallback: HSF_SEED env, then 0)")
     common.add_argument("--max-n", type=int, default=DEFAULT_ARITY_CAP, dest="max_n",
-                        help=f"arity cap for exact operations (up to {MAX_ARITY_CAP})")
+                        help=f"arity cap for exact operations, up to {MAX_ARITY_CAP}"
+                        " (default: %(default)s)")
     common.add_argument("--out", default=None, help="write the CSV here")
     common.add_argument("--quiet", action="store_true",
                         help="suppress stdout reports")
     theorem = argparse.ArgumentParser(add_help=False)
-    theorem.add_argument("--c-ns", type=float, default=1.0, dest="c_ns")
-    theorem.add_argument("--c-l", type=float, default=1.0, dest="c_l")
+    theorem.add_argument("--c-ns", type=float, default=1.0, dest="c_ns",
+                         help="premise constant c_ns, positive and finite (default: %(default)s)")
+    theorem.add_argument("--c-l", type=float, default=1.0, dest="c_l",
+                         help="head budget constant c_l, positive and finite"
+                         " (default: %(default)s)")
 
     parser = argparse.ArgumentParser(
         prog="hsf",
@@ -411,38 +415,49 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", parents=[common],
                        help="canonical form, regularity, and noise profile")
     p.add_argument("--ltf", required=True, help="threshold function file")
-    p.add_argument("--taus", default=_ANALYZE_TAUS)
-    p.add_argument("--epsilons", default=_ANALYZE_EPSILONS)
+    p.add_argument("--taus", default=_ANALYZE_TAUS,
+                   help="comma list of regularity levels for the critical index"
+                   " (default: %(default)s)")
+    p.add_argument("--epsilons", default=_ANALYZE_EPSILONS,
+                   help="comma list of noise rates for the noise profile (default: %(default)s)")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("junta", parents=[common, theorem],
                        help="extract a junta approximator and verify it")
-    p.add_argument("--ltf", required=True)
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--delta", type=float, required=True)
+    p.add_argument("--ltf", required=True, help="threshold function file")
+    p.add_argument("--epsilon", type=float, required=True, help="noise rate, in (0, 1/2]")
+    p.add_argument("--delta", type=float, required=True, help="target distance, in (0, 1]")
     p.set_defaults(func=cmd_junta)
 
     p = sub.add_parser("sweep", parents=[common, theorem],
                        help="bulk extraction over random instance families")
     p.add_argument("--families", required=True,
                    help="comma list: equal, gaussian, geometric:<rate>")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--epsilons", default=_SWEEP_EPSILONS)
-    p.add_argument("--deltas", default=_SWEEP_DELTAS)
-    p.add_argument("--theta-law", default="gaussian:1", dest="theta_law")
+    p.add_argument("--n", type=int, required=True, help="inputs of every instance")
+    p.add_argument("--count", type=int, required=True, help="instances drawn per family")
+    p.add_argument("--epsilons", default=_SWEEP_EPSILONS,
+                   help="comma list of noise rates (default: %(default)s)")
+    p.add_argument("--deltas", default=_SWEEP_DELTAS,
+                   help="comma list of target distances (default: %(default)s)")
+    p.add_argument("--theta-law", default="gaussian:1", dest="theta_law",
+                   help="threshold law: zero, fixed:<v> or gaussian:<scale>"
+                   " (default: %(default)s)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("gaussian", parents=[common],
                        help="Gaussian noise-sensitivity bound vs Monte Carlo")
-    p.add_argument("--theta", default=_GAUSSIAN_THETAS)
-    p.add_argument("--epsilon", default=_GAUSSIAN_EPSILONS)
-    p.add_argument("--samples", type=int, default=1_000_000)
+    p.add_argument("--theta", default=_GAUSSIAN_THETAS,
+                   help="comma list of thresholds (default: %(default)s)")
+    p.add_argument("--epsilon", default=_GAUSSIAN_EPSILONS,
+                   help="comma list of noise rates, each in [0, 1/2] (default: %(default)s)")
+    p.add_argument("--samples", type=int, default=1_000_000,
+                   help="Monte Carlo samples per row (default: %(default)s)")
     p.set_defaults(func=cmd_gaussian)
 
     p = sub.add_parser("checks", parents=[common],
                        help="run the identity and inequality suites")
-    p.add_argument("--samples", type=int, default=200_000)
+    p.add_argument("--samples", type=int, default=200_000,
+                   help="Monte Carlo samples per sampled row (default: %(default)s)")
     p.set_defaults(func=cmd_checks)
 
     return parser

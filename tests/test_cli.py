@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, CSV contracts, seeding, and errors."""
 
+import argparse
 import math
 import os
 import subprocess
@@ -415,6 +416,22 @@ class TestSeedAndUsage:
     def test_version_flag(self, capsys):
         assert cli.main(["--version"]) == 0
         assert hsf.__version__ in capsys.readouterr().out
+
+    def test_every_option_has_help_and_shows_its_default(self):
+        # An option with a default other than None or False names it in its help.
+        (commands,) = [action for action in cli._build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction)]
+        assert sorted(commands.choices) == ["analyze", "checks", "gaussian", "junta", "sweep"]
+        bare, silent = [], []
+        for name, sub in commands.choices.items():
+            for action in sub._actions:
+                flag = f"{name} {action.option_strings[-1]}"
+                if not action.help:
+                    bare.append(flag)
+                elif (action.default not in (None, False, argparse.SUPPRESS)
+                      and "%(default)s" not in action.help):
+                    silent.append(flag)
+        assert bare == [] and silent == []
 
     def test_usage_errors(self, tmp_path):
         assert cli.main([]) == 2

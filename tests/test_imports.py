@@ -2,10 +2,14 @@
 
 Each case runs in a fresh interpreter, so modules imported by other tests
 cannot leak in.  scipy is loaded only by the commands that compute Gaussian
-CDFs; the `checks` case guards against a vacuous pass: if scipy were never
-importable from the package at all, the first case would pass for the wrong
-reason.  ``import hsf`` loads no numpy, and the command sets
-``OPENBLAS_NUM_THREADS`` to 1 before numpy loads unless the caller set it.
+CDFs, and then only ``scipy.special``: the bivariate normal CDF is a
+Gauss-Legendre rule in pure Python, so ``checks`` loads no
+``scipy.integrate``, and its nodes are literals, so ``import hsf.cli`` loads
+no ``numpy.polynomial``.  The `checks` case also guards against a vacuous
+pass: if scipy were never importable from the package at all, the first case
+would pass for the wrong reason.  ``import hsf`` loads no numpy, and the
+command sets ``OPENBLAS_NUM_THREADS`` to 1 before numpy loads unless the
+caller set it.
 The package resolves its exports lazily, so the last cases check that every
 name in ``hsf.__all__`` still exists, that an unknown name is an
 ``AttributeError``, and that each export has a caller, so no function lives
@@ -50,8 +54,10 @@ _CHECKS_SCRIPT = """
 import json, os, sys
 from hsf.cli import main
 
+polynomial = [m for m in sys.modules if m.startswith("numpy.polynomial")]  # scipy loads it later
 main(["checks", "--samples", "2000", "--out", os.path.join(sys.argv[1], "checks.csv")])
-print(json.dumps({"scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+print(json.dumps({"polynomial_at_import": polynomial,
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
 """
 
 
@@ -114,7 +120,8 @@ def test_cli_commands_other_than_checks_never_load_scipy(tmp_path):
 def test_checks_loads_scipy(tmp_path):
     result = _run(_CHECKS_SCRIPT, tmp_path)
     assert "scipy.special" in result["scipy"]
-    assert "scipy.integrate" in result["scipy"]
+    assert [m for m in result["scipy"] if m.startswith("scipy.integrate")] == []
+    assert result["polynomial_at_import"] == []
     assert (tmp_path / "checks.csv").stat().st_size > 0
 
 

@@ -1,5 +1,6 @@
 """Noise sensitivity routes, Gaussian surrogates, and inequality checks."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -35,6 +36,7 @@ from _oracles import (
     TAIL_RATIO_BAND_MAX,
     TAIL_RATIO_BAND_MIN,
     majority_values,
+    mp_bvn_cdf,
     mp_tail_ratio,
     parity_values,
 )
@@ -190,12 +192,26 @@ class TestGaussianPairs:
         )
 
     def test_quadrant_closed_form(self):
-        # P[X >= 0, Y >= 0] = 1/4 + asin(rho) / (2 pi).
-        for rho in (-0.9, -0.3, 0.5, 0.8):
+        # P[X >= 0, Y >= 0] = 1/4 + asin(rho) / (2 pi), bit for bit below
+        # |rho| = 0.925: there the rule integrates the constant 1 to exactly
+        # asin(rho), which keeps the quadrant-gap rows of `checks` unchanged.
+        for rho in (-0.924, -0.9, -0.3, 0.5, 0.8, 0.924):
             expected = 0.25 + math.asin(rho) / (2 * math.pi)
-            assert bivariate_rectangle(
-                (0, math.inf), (0, math.inf), rho
-            ) == pytest.approx(expected, abs=1e-13)
+            assert bivariate_rectangle((0, math.inf), (0, math.inf), rho) == expected
+
+    @pytest.mark.parametrize("rho", [
+        1 - 1e-12, -(1 - 1e-12), 0.999999, -0.999999, 0.99999,
+        0.926, 0.924, -0.926, -0.5, 0.0,
+    ])
+    def test_rectangle_matches_mpmath(self, rho):
+        # Both sides of the switch at |rho| = 0.925 from the angle rule to
+        # Genz's form, and up to 1e-12 from |rho| = 1.  The CDF is symmetric
+        # in (h, k), but the code is not, so both orders are checked.
+        inf = math.inf
+        for h, k in itertools.combinations_with_replacement((-1.7, 0.0, 1.1), 2):
+            exact = mp_bvn_cdf(h, k, rho)
+            for a, b in ((h, k), (k, h)):
+                assert abs(bivariate_rectangle((-inf, a), (-inf, b), rho) - exact) <= 1e-14
 
     def test_full_plane_and_degenerate_correlations(self):
         inf = math.inf
@@ -206,6 +222,11 @@ class TestGaussianPairs:
             gaussian_tail(1.0), abs=1e-14
         )
         assert bivariate_rectangle((0.5, inf), (0.5, inf), -1.0) == 0.0
+
+    @pytest.mark.parametrize("rho", [-0.93, -0.3, 0.5, 0.93, 0.99999])
+    def test_huge_finite_endpoints_act_as_infinite(self, rho):
+        assert bivariate_rectangle((-1e300, 1e300), (-1e300, 1e300), rho) == 1.0
+        assert bivariate_rectangle((1e154, math.inf), (-1e154, math.inf), rho) == 0.0
 
     def test_rectangle_additivity(self):
         a = bivariate_rectangle((-1, 0), (-0.5, 2), 0.6)
