@@ -7,9 +7,11 @@ bound versus Monte Carlo), and checks (the identity and inequality suites).
 
 Output contract: tabular results are CSV with a header row, 17-significant-
 digit reals, and a trailing comment line ``# seed=<s> version=<v>``.  The CSV
-goes to --out when given, else to stdout.  Human-readable reports (analyze,
-junta) print before the CSV and are silenced by --quiet.  Identical run
-configuration yields byte-identical CSV.
+goes to --out when given, else to stdout.  Identical run configuration yields
+byte-identical CSV.  Before the CSV, analyze and junta print a human report of
+``label: values`` lines, a view of the same rows (junta adds its coordinates
+and the audit fields the row leaves out).  It is not part of the contract, and
+--quiet silences it.
 
 Exit status: 0 when everything passed or was vacuous, 1 when a verification
 check failed, 2 on usage or input errors.
@@ -31,7 +33,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 from . import __version__, _bits
-from .errors import HsfError, InvalidInputError, check_cap, check_int
+from .errors import HsfError, InvalidInputError, check_cap, check_int, check_range
 from .fncore import DEFAULT_ARITY_CAP, MAX_ARITY_CAP, random_function, wht
 from .junta import extract_junta, junta_budget, premise_bound, prepare, theorem_verify
 from .ltf import (
@@ -96,9 +98,16 @@ def _emit_csv(args: argparse.Namespace, header: str, rows) -> None:
         sys.stdout.write(payload)
 
 
-def _say(args: argparse.Namespace, text: str = "") -> None:
+def _short(value) -> str:
+    return f"{float(value):.6g}" if isinstance(value, (float, np.floating)) else _fmt(value)
+
+
+def _report(args: argparse.Namespace, lines) -> None:
+    # One "label: values" line per (label, *values), then a blank line.
     if not args.quiet:
-        print(text)
+        for label, *values in lines:
+            print(f"{label}:", *map(_short, values))
+        print()
 
 
 def _floats(raw: str, flag: str) -> list[float]:
@@ -123,8 +132,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     lt = load_ltf_file(args.ltf)
     prof = regularity_profile(lt)
     indices = [(tau, critical_index(lt, tau)) for tau in _floats(args.taus, "--taus")]
-    epsilons = _floats(args.epsilons, "--epsilons")
-    instance = prepare(lt, cap=args.max_n)  # after the checks; ns_exact alone checks eps
+    epsilons = [check_range("epsilon", eps, 0, 1) for eps in _floats(args.epsilons, "--epsilons")]
+    instance = prepare(lt, cap=args.max_n)  # after the checks
     weight_by_degree = instance.spectrum.degree_weights
 
     rows: list[tuple] = [
@@ -140,8 +149,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     )
     rows.extend(("sigma", k + 1, float(prof.tail_norms[k])) for k in range(lt.n_active))
     rows.extend(("critical_index", tau, ell) for tau, ell in indices)
-    ns_rows = [(eps, ns_exact(instance.spectrum, eps)) for eps in epsilons]
-    rows.extend(("ns", eps, value) for eps, value in ns_rows)
+    rows.extend(("ns", eps, ns_exact(instance.spectrum, eps)) for eps in epsilons)
     rows.extend(
         ("degree_weight", d, float(weight_by_degree[d]))
         for d in range(lt.n_inputs + 1)
@@ -162,28 +170,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             ]
         )
 
-    _say(args, f"input: {args.ltf}")
-    _say(
-        args,
-        f"n_inputs: {lt.n_inputs}  active: {lt.n_active}  "
-        f"dropped: {list(lt.dropped) or 'none'}",
-    )
-    _say(args, f"theta (canonical): {lt.theta:.6g}  tau_star: {prof.tau_star:.6g}")
-    _say(args, "weights (sorted, unit norm): "
-         + " ".join(f"{w:.6g}" for w in lt.weights))
-    _say(args, "tail norms sigma_k: "
-         + " ".join(f"{s:.6g}" for s in prof.tail_norms))
-    _say(args, "critical indices: "
-         + "  ".join(f"tau={tau:g}: {ell}" for tau, ell in indices))
-    _say(args, "noise sensitivity: "
-         + "  ".join(f"eps={eps:g}: {value:.6g}" for eps, value in ns_rows))
-    _say(args, "degree weights: "
-         + " ".join(f"{w:.4g}" for w in weight_by_degree))
-    if head_ell is not None:
-        _say(args, f"critical head at tau={head_tau:g}: ell={head_ell}")
-    else:
-        _say(args, "critical head: none finite on the tau grid")
-    _say(args)
+    sections: dict[str, list[str]] = {}
+    for section, key, value in rows:
+        sections.setdefault(section, []).append(f"{_short(key)}={_short(value)}")
+    _report(args, [(section, *cells) for section, cells in sections.items()])
     _emit_csv(args, _ANALYZE_HEADER, rows)
     return 0
 
@@ -211,24 +201,13 @@ def cmd_junta(args: argparse.Namespace) -> int:
     report = extract_junta(prepare(lt, cap=args.max_n), args.epsilon, args.delta,
                            c_ns=args.c_ns, c_l=args.c_l)
     verdict = theorem_verify(report)
-    d = report.diagnostics
-    coords = _bits.bit_positions(report.junta_set)
-    _say(args, f"input: {args.ltf}")
-    _say(args, f"case: {report.case}")
-    _say(args, f"junta coordinates (0-based): {coords or 'none (constant)'}")
-    _say(args, f"junta size: {report.junta_size}  budget L: {d.budget}  "
-         f"critical index at tau=eps: {d.critical_idx}")
-    _say(args, f"distance: {report.distance:.6g}  guarantee: {d.guarantee_bound:.6g}")
-    _say(args, f"noise sensitivity: {d.ns_value:.6g}  premise bound: "
-         f"{d.premise_bound:.6g}  premise holds: {d.premise_holds}")
-    if not math.isnan(d.frac_unbiased):
-        _say(args, f"frac unbiased at delta: {d.frac_unbiased:.6g}")
-    if not math.isnan(d.residual_sq):
-        _say(args, f"projection residual^2: {d.residual_sq:.6g}")
-    _say(args, f"within declared validity ranges: {d.within_validity}")
-    _say(args, f"verdict: {verdict.label}")
-    _say(args)
-    _emit_csv(args, _JUNTA_HEADER, [_junta_row(report, verdict)])
+    row = _junta_row(report, verdict)
+    audit = ("epsilon", "delta", "small_delta", "frac_unbiased", "residual_sq", "iia_bound",
+             "within_validity")  # the Diagnostics fields the row leaves out
+    _report(args, [*zip(_JUNTA_HEADER.split(","), row),
+                   ("junta_coordinates", *_bits.bit_positions(report.junta_set)),
+                   *((name, getattr(report.diagnostics, name)) for name in audit)])
+    _emit_csv(args, _JUNTA_HEADER, [row])
     return 0 if verdict.passed else 1
 
 
@@ -283,16 +262,13 @@ def _gaussian_row(theta: float, eps: float, samples: int, seed) -> tuple:
 def cmd_gaussian(args: argparse.Namespace) -> int:
     thetas = _floats(args.theta, "--theta")
     epsilons = _floats(args.epsilon, "--epsilon")
-    rows: list[tuple] = []
-    failed = False
-    k = 0
-    for theta in thetas:
-        for eps in epsilons:
-            rows.append(_gaussian_row(theta, eps, args.samples, [args.seed, k]))
-            failed = failed or not rows[-1][5]
-            k += 1
+    cells = [(theta, eps) for theta in thetas for eps in epsilons]
+    for theta, eps in cells:
+        gaussian_ns_bound(theta, eps)  # every cell's check, before the first sample
+    rows = [_gaussian_row(theta, eps, args.samples, [args.seed, k])
+            for k, (theta, eps) in enumerate(cells)]
     _emit_csv(args, _GAUSSIAN_HEADER, rows)
-    return 1 if failed else 0
+    return 0 if all(row[5] for row in rows) else 1
 
 
 def _table_and_head(seed: int, k: int) -> tuple:
@@ -312,11 +288,8 @@ def cmd_checks(args: argparse.Namespace) -> int:
     decaying16 = canonicalize(0.999 ** np.arange(1, 17, dtype=np.float64), 0.0)
     for lt in (maj16, decaying16):
         check_cap("arity", lt.n_inputs, args.max_n)
-    rows: list[tuple] = []
+    rows: list[tuple] = []  # (check, instance seed, lhs, rhs, gap, holds)
     k = 0
-
-    def add(check: str, seed_idx: int, lhs: float, rhs: float, gap: float, holds: bool):
-        rows.append((check, seed_idx, lhs, rhs, gap, holds))
 
     # Noise sensitivity against the distance-from-constant lower bound.
     for i in range(12):
@@ -324,8 +297,8 @@ def cmd_checks(args: argparse.Namespace) -> int:
         spectrum = wht(f)
         for eps in (0.05, 0.25):
             cb = constant_bound_check(spectrum, eps)
-            add("constant-lower-bound", k, cb.ns_value, cb.bound,
-                cb.ns_value - cb.bound, cb.holds)
+            rows.append(("constant-lower-bound", k, cb.ns_value, cb.bound,
+                         cb.ns_value - cb.bound, cb.holds))
         k += 1
 
     # Restriction energy identity, worst tail subset per instance.
@@ -337,8 +310,8 @@ def cmd_checks(args: argparse.Namespace) -> int:
             res = restriction_energy_identity(f, head, int(subset))
             if worst is None or res.gap > worst.gap:
                 worst = res
-        add("restriction-energy", k, worst.lhs, worst.rhs, worst.gap,
-            worst.gap <= 1e-9)
+        rows.append(("restriction-energy", k, worst.lhs, worst.rhs, worst.gap,
+                     worst.gap <= 1e-9))
         k += 1
 
     # Noise sensitivity can only shrink on average under restriction.
@@ -346,16 +319,16 @@ def cmd_checks(args: argparse.Namespace) -> int:
         f, head = _table_and_head(args.seed, k)
         eps = (0.05, 0.1, 0.25)[i % 3]
         agg = ns_aggregation_check(f, head, eps)
-        add("ns-aggregation", k, agg.ns_value, agg.restricted_mean,
-            agg.ns_value - agg.restricted_mean, agg.holds)
+        rows.append(("ns-aggregation", k, agg.ns_value, agg.restricted_mean,
+                     agg.ns_value - agg.restricted_mean, agg.holds))
         k += 1
 
     # CDF of the linear form against the normal CDF, per the 2 tau* bound.
     for lt in (maj16, decaying16):
         tau_star = regularity_profile(lt).tau_star
         gap = regular_cdf_gap(lt, cap=args.max_n)
-        add("cdf-gap", k, gap, 2.0 * tau_star, gap - 2.0 * tau_star,
-            gap <= 2.0 * tau_star)
+        rows.append(("cdf-gap", k, gap, 2.0 * tau_star, gap - 2.0 * tau_star,
+                     gap <= 2.0 * tau_star))
         k += 1
 
     # Joint quadrant probability of a correlated Boolean pair vs Gaussian.
@@ -366,22 +339,21 @@ def cmd_checks(args: argparse.Namespace) -> int:
             seed=[args.seed, k],
         )
         allowance = 2.0 * tau_star + q.boolean.radius
-        add("quadrant-gap", k, q.boolean.value, q.gaussian, q.gap,
-            q.gap <= allowance)
+        rows.append(("quadrant-gap", k, q.boolean.value, q.gaussian, q.gap,
+                     q.gap <= allowance))
         k += 1
 
     # Tail-shape ratio stays inside fixed positive constants.
     band = tail_ratio_check(np.arange(0.0, 10.0001, 0.01))
-    add("tail-ratio", k, band.minimum, band.maximum,
-        band.maximum - band.minimum,
-        0.35 <= band.minimum and band.maximum <= 1.0)
+    rows.append(("tail-ratio", k, band.minimum, band.maximum, band.maximum - band.minimum,
+                 0.35 <= band.minimum and band.maximum <= 1.0))
     k += 1
 
     # Monte Carlo Gaussian disagreement against the closed-form lower bound.
     for theta in (0.0, 1.0):
         for eps in (0.05, 0.5):
             _, _, bound, value, _, holds = _gaussian_row(theta, eps, args.samples, [args.seed, k])
-            add("gaussian-lower-bound", k, value, bound, value - bound, holds)
+            rows.append(("gaussian-lower-bound", k, value, bound, value - bound, holds))
             k += 1
 
     _emit_csv(args, _CHECKS_HEADER, rows)

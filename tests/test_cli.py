@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, CSV contracts, seeding, and errors."""
 
 import argparse
+import dataclasses
 import math
 import os
 import subprocess
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hsf
-from hsf import JuntaCase, Verdict, cli, extract_junta, load_ltf_file, save_ltf_file
+from hsf import Diagnostics, JuntaCase, Verdict, cli, extract_junta, load_ltf_file, save_ltf_file
 
 JUNTA_HEADER = (
     "case,junta_size,L,ell,ns,premise_bound,premise_holds,distance,guarantee,verdict"
@@ -100,6 +101,8 @@ _BAD_INPUTS = [
                  "--taus expects comma-separated reals, got 'x'", id="analyze-taus-not-real"),
     pytest.param(_VALID_ARGV["analyze"], ["--taus", "2"], None,
                  "tau must be in (0, 1], got 2.0", id="analyze-tau-past-one"),
+    pytest.param(_VALID_ARGV["analyze"], ["--epsilons", "1.5"], None,
+                 "epsilon must be in [0, 1], got 1.5", id="analyze-epsilon-past-one"),
     pytest.param(_VALID_ARGV["checks"], ["--samples", "0"], None,
                  "samples must be in [1, ", id="checks-no-samples"),
     pytest.param(_VALID_ARGV["checks"], ["--max-n", "10"], None,
@@ -142,8 +145,12 @@ class TestBadInputs:
     @pytest.mark.parametrize("command, extra, work", [
         pytest.param("analyze", ["--taus", "x"], ["prepare"], id="analyze-taus-not-real"),
         pytest.param("analyze", ["--taus", "2"], ["prepare"], id="analyze-tau-past-one"),
+        pytest.param("analyze", ["--epsilons", "1.5"], ["prepare"],
+                     id="analyze-epsilon-past-one"),
         pytest.param("junta", ["--c-ns", "nan"], ["prepare"], id="junta-c-ns-not-finite"),
         pytest.param("sweep", ["--c-ns", "nan"], ["prepare"], id="sweep-c-ns-not-finite"),
+        pytest.param("gaussian", ["--epsilon", "0.05,0.7"], ["gaussian_ns_mc"],
+                     id="gaussian-late-epsilon-past-half"),
         pytest.param("checks", ["--samples", "0"], _CHECK_BLOCKS, id="checks-no-samples"),
         pytest.param("checks", ["--max-n", "10"], _CHECK_BLOCKS,
                      id="checks-max-n-below-cdf-gap-arity"),
@@ -179,10 +186,18 @@ class TestAnalyze:
         assert "meta,n_active,4" in lines
 
     def test_human_report_on_stdout(self, tmp_path, capsys):
+        # One "section: key=value ..." line per CSV section, in CSV order.
         assert cli.main(["analyze", "--ltf", _dictator_file(tmp_path)]) == 0
-        text = capsys.readouterr().out
-        assert "critical indices:" in text
-        assert "section,key,value" in text
+        report, csv_text = capsys.readouterr().out.split("\n\n")
+        rows = [line.split(",") for line in csv_text.splitlines()[1:-1]]
+        assert csv_text.startswith("section,key,value\n")
+        sections = list(dict.fromkeys(row[0] for row in rows))
+        lines = report.splitlines()
+        assert [line.split(": ")[0] for line in lines] == sections
+        for line, section in zip(lines, sections):
+            pairs = line.split(": ")[1].split(" ")
+            assert all("=" in pair for pair in pairs)
+            assert len(pairs) == sum(row[0] == section for row in rows)
 
     def test_quiet_without_out_prints_nothing(self, tmp_path, capsys):
         assert cli.main(
@@ -205,6 +220,36 @@ class TestJunta:
         row = lines[0].split(",")
         assert row[0] == "III_HeadJunta"
         assert row[7] == "0"  # exact distance: the junta is the function
+
+    def test_human_report_is_the_row_plus_the_audit_fields(self, tmp_path, capsys):
+        path = _dictator_file(tmp_path)
+        assert cli.main(["junta", "--ltf", path, "--epsilon", "0.05", "--delta", "0.25"]) == 0
+        report, csv_text = capsys.readouterr().out.split("\n\n")
+        lines = dict(line.partition(": ")[::2] for line in report.splitlines())
+        columns = JUNTA_HEADER.split(",")
+        # The Diagnostics fields the row carries, under their column names.
+        carried = {"budget", "critical_idx", "ns_value", "premise_bound", "premise_holds",
+                   "guarantee_bound"}
+        audit = [f.name for f in dataclasses.fields(Diagnostics) if f.name not in carried]
+        assert [line.partition(": ")[0] for line in report.splitlines()] == (
+            columns + ["junta_coordinates"] + audit)  # each label once
+        assert {"iia_bound", "small_delta"} <= set(audit)
+        assert lines["case"] == "III_HeadJunta" and lines["verdict"] == "premise-violated"
+        d = extract_junta(load_ltf_file(path), 0.05, 0.25).diagnostics
+        expected = dict(zip(columns, csv_text.splitlines()[1].split(",")))
+        expected |= {name: cli._fmt(getattr(d, name)) for name in audit}
+        expected["junta_coordinates"] = "0 1 2 3"
+        for label, text in lines.items():  # reals to 6 digits, other cells as in the CSV
+            try:
+                assert float(text) == pytest.approx(float(expected[label]), rel=1e-5,
+                                                    nan_ok=True)
+            except ValueError:
+                assert text == expected[label]
+
+    def test_quiet_without_out_prints_nothing(self, tmp_path, capsys):
+        assert cli.main(["junta", "--ltf", _dictator_file(tmp_path), "--epsilon", "0.05",
+                         "--delta", "0.25", "--quiet"]) == 0
+        assert capsys.readouterr().out == ""
 
     def test_non_vacuous_row_matches_library(self, tmp_path):
         path = _biased_majority_file(tmp_path)
