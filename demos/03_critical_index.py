@@ -29,8 +29,7 @@ def show(name, weights, tau):
             f"  head of size {int(ell) - 1} removed -> tail tau* = "
             f"{regularity_profile(tail).tau_star:.4f}"
         )
-    grid = np.linspace(-4.0, 4.0, 401)
-    print(f"  sup |CDF - normal| of the linear form: {regular_cdf_gap(ltf, t_grid=grid):.4f}")
+    print(f"  sup |CDF - normal| of the linear form: {regular_cdf_gap(ltf):.4f}")
     print()
 
 

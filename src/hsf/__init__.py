@@ -33,11 +33,10 @@ _HOME = {
         "ltf": "INFINITE_INDEX Ltf RegularityProfile canonical_linear_form canonical_table "
         "canonicalize critical_index head_mask linear_form load_ltf_file random_ltf "
         "regularity_profile save_ltf_file truth_table",
-        "noise": "ConstantBoundCheck McEstimate QuadrantComparison TailRatioBand "
+        "noise": "ConstantBoundCheck McEstimate QuadrantComparison "
         "bivariate_rectangle boolean_pair_quadrant_mc constant_bound_check gaussian_cdf "
         "gaussian_disagreement gaussian_ns_bound gaussian_ns_mc gaussian_tail "
-        "hoeffding_radius ns_bruteforce ns_exact ns_mc regular_cdf_gap tail_ratio "
-        "tail_ratio_check",
+        "hoeffding_radius ns_bruteforce ns_exact ns_mc regular_cdf_gap tail_ratio",
         "restriction": "NsAggregation RestrictionEnergy ThresholdCorollary bias_profile "
         "ns_aggregation_check restrict restriction_energy_identity",
     }.items()

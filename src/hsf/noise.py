@@ -68,7 +68,6 @@ class McEstimate:
     """
 
     value: float
-    samples: int
     radius: float
 
 
@@ -79,14 +78,6 @@ class ConstantBoundCheck:
     ns_value: float
     bound: float
     holds: bool
-
-
-@dataclass(frozen=True)
-class TailRatioBand:
-    """Extremes of Phi_tail(t) * (t + 1) * exp(t^2 / 2) over a grid."""
-
-    minimum: float
-    maximum: float
 
 
 @dataclass(frozen=True)
@@ -117,7 +108,7 @@ def _mc_estimate(samples: int, seed, hits) -> McEstimate:
     total = 0
     for done in range(0, samples, _MC_CHUNK):
         total += int(np.count_nonzero(hits(rng, min(_MC_CHUNK, samples - done))))
-    return McEstimate(value=total / samples, samples=samples, radius=radius)
+    return McEstimate(value=total / samples, radius=radius)
 
 
 def _flipped_pair(rng, m: int, n: int, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
@@ -192,6 +183,8 @@ def gaussian_tail(theta):
     """Upper tail P[N(0,1) >= theta], accurate to ~1e-15 relative."""
     from scipy import special  # loaded on first use: ~0.2 s over numpy, which most commands skip
     t = _bits.reals("theta", theta)
+    if np.isnan(t).any():
+        raise InvalidInputError("Gaussian tail and CDF arguments must not be NaN")
     out = 0.5 * special.erfc(t / math.sqrt(2.0))
     return float(out) if t.ndim == 0 else out
 
@@ -210,16 +203,6 @@ def tail_ratio(theta):
         raise InvalidInputError("theta values above 37 overflow the exp factor")
     out = gaussian_tail(t) * (t + 1.0) * np.exp(t * t / 2.0)
     return float(out) if np.ndim(theta) == 0 else out
-
-
-def tail_ratio_check(theta_grid) -> TailRatioBand:
-    """Extremes of the tail-shape ratio over a nonempty grid of t >= 0."""
-    grid = _bits.reals("theta grid", theta_grid)
-    if grid.size == 0:
-        raise InvalidInputError("theta grid must be nonempty")
-    values = tail_ratio(grid)
-    values = np.atleast_1d(values)
-    return TailRatioBand(minimum=float(values.min()), maximum=float(values.max()))
 
 
 def gaussian_ns_bound(theta: float, epsilon: float) -> float:
@@ -374,23 +357,14 @@ def constant_bound_check(spectrum: FourierSpectrum, epsilon: float) -> ConstantB
     return ConstantBoundCheck(ns_value=ns_value, bound=bound, holds=ns_value >= bound - CHECK_TOL)
 
 
-def regular_cdf_gap(ltf: Ltf, t_grid=None, cap: int = DEFAULT_ARITY_CAP) -> float:
-    """Sup gap between the CDF of w . x and the standard normal CDF.
+def regular_cdf_gap(ltf: Ltf, cap: int = DEFAULT_ARITY_CAP) -> float:
+    """Exact sup gap between the CDF of w . x and the standard normal CDF.
 
-    With no grid the sup is exact: both one-sided gaps are evaluated at every
-    jump of the discrete CDF.  With a grid, the max of |F(t) - Phi(t)| over the
-    grid points is returned instead.
+    Both one-sided gaps, |F(v) - Phi(v)| and |F(v-) - Phi(v)|, are evaluated
+    at every jump v of the discrete CDF, where the sup is attained.
     """
     values = ltf_mod.canonical_linear_form(ltf, cap=cap)
     size = values.size
-    if t_grid is not None:
-        grid = _bits.reals("t grid", t_grid)
-        if grid.size == 0:
-            raise InvalidInputError("t grid must be nonempty")
-        if np.isnan(grid).any():
-            raise InvalidInputError("t grid must not contain NaN")
-        ecdf = np.searchsorted(np.sort(values), grid, side="right") / size
-        return float(np.max(np.abs(ecdf - gaussian_cdf(grid))))
     uniq, counts = np.unique(values, return_counts=True)
     after = np.cumsum(counts) / size
     before = after - counts / size

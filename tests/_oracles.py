@@ -3,12 +3,14 @@
 Everything here deliberately avoids the fast code paths it is used to check:
 the spectrum oracle is the quadratic-time inner-product definition, majority
 tables come straight from popcounts, the support of a table is read by
-flipping one variable at a time, and the tail-ratio references go through
-mpmath at high precision.  The per-instance kernels (Walsh-Hadamard butterfly,
-linear-form table, popcounts, degree weights, restriction, bias profiles)
-are kept here in their original float64, blockwise and bit-loop forms, which
-the fast kernels must match byte for byte; the degree weights of arbitrary
-real spectra are held to one correctly rounded math.fsum per degree instead.
+flipping one variable at a time, the tail-ratio references go through mpmath
+at high precision, and the CDF gap is counted at every value of w . x over
+the input-order cube against mpmath's normal CDF.  The per-instance kernels
+(Walsh-Hadamard butterfly, linear-form table, popcounts, degree weights,
+restriction, bias profiles) are kept here in their original float64,
+blockwise and bit-loop forms, which the fast kernels must match byte for
+byte; the degree weights of arbitrary real spectra are held to one
+correctly rounded math.fsum per degree instead.
 The bit-loop junta lift and table comparison are the oracle of the distances
 extractions report, and the verdict rule that rebuilt each case's bound from
 delta is the oracle of the verdicts.
@@ -18,6 +20,8 @@ import math
 
 import mpmath
 import numpy as np
+
+from hsf import linear_form
 
 # Extremes of tail(t) * (t + 1) * exp(t^2 / 2) over linspace(0, 10, 1001),
 # frozen from a calibration run and cross-checked against mpmath below.
@@ -109,6 +113,24 @@ def mp_bvn_cdf(h: float, k: float, rho: float) -> float:
         if rho != 0 and k / rho < h:
             points.insert(1, k / rho)
         return float(mpmath.quad(integrand, points))
+
+
+def slow_cdf_gap(ltf) -> float:
+    """sup |F(t) - Phi(t)| for the CDF F of w . x over the cube, at 40 digits.
+
+    w . x comes from :func:`linear_form` at all 2**n input-order points; at
+    each distinct value v, F(v) and F(v-) are counts of values <= v and < v.
+    """
+    n = ltf.n_inputs
+    rows = np.arange(1 << n)[:, None]
+    values = linear_form(ltf, 1 - 2 * ((rows >> np.arange(n)) & 1))
+    worst = mpmath.mpf(0)
+    with mpmath.workdps(40):
+        for v in set(values.tolist()):
+            phi = mpmath.ncdf(v)
+            for count in (np.count_nonzero(values <= v), np.count_nonzero(values < v)):
+                worst = max(worst, abs(mpmath.mpf(int(count)) / values.size - phi))
+        return float(worst)
 
 
 def slow_linear_form_table(weights, original_index, n: int) -> np.ndarray:

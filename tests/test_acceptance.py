@@ -30,7 +30,6 @@ from hsf import (
     restriction_energy_identity,
     synthesize,
     tail_ratio,
-    tail_ratio_check,
     truth_table,
     wht,
 )
@@ -195,10 +194,9 @@ def test_criterion_07_gaussian_lower_bound():
 
 def test_criterion_08_tail_ratio_band():
     grid = np.linspace(0.0, 10.0, 1001)
-    band = tail_ratio_check(grid)
     values = tail_ratio(grid)
-    lo_dev = abs(band.minimum - TAIL_RATIO_BAND_MIN)
-    hi_dev = abs(band.maximum - TAIL_RATIO_BAND_MAX)
+    lo_dev = abs(values.min() - TAIL_RATIO_BAND_MIN)
+    hi_dev = abs(values.max() - TAIL_RATIO_BAND_MAX)
     oracle_dev = max(
         abs(values[values.argmin()] - mp_tail_ratio(grid[values.argmin()])),
         abs(values[values.argmax()] - mp_tail_ratio(grid[values.argmax()])),
@@ -211,20 +209,19 @@ def test_criterion_08_tail_ratio_band():
     )
     record_criterion(
         8, ok,
-        f"band [{band.minimum:.6f}, {band.maximum:.6f}] frozen, "
+        f"band [{values.min():.6f}, {values.max():.6f}] frozen, "
         f"high-precision oracle gap {oracle_dev:.1e}",
     )
     assert ok
 
 
 def test_criterion_09_regular_cdf_gap():
-    grid = np.linspace(-4.0, 4.0, 401)
     majority = canonicalize(np.ones(16), 0.0)
     geometric = canonicalize(0.999 ** np.arange(1, 17), 0.0)
     results = []
     for ltf in (majority, geometric):
         tau = regularity_profile(ltf).tau_star
-        gap = regular_cdf_gap(ltf, t_grid=grid)
+        gap = regular_cdf_gap(ltf)
         results.append((tau, gap))
     ok = all(gap <= 2.0 * tau for tau, gap in results)
     record_criterion(

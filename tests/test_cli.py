@@ -140,7 +140,7 @@ class TestBadInputs:
     # The check blocks of `checks`, each named by its first call.
     _CHECK_BLOCKS = ["random_function", "constant_bound_check", "restriction_energy_identity",
                      "ns_aggregation_check", "regular_cdf_gap", "boolean_pair_quadrant_mc",
-                     "tail_ratio_check", "gaussian_ns_mc"]
+                     "tail_ratio", "gaussian_ns_mc"]
 
     @pytest.mark.parametrize("command, extra, work", [
         pytest.param("analyze", ["--taus", "x"], ["prepare"], id="analyze-taus-not-real"),

@@ -32,7 +32,6 @@ from hsf import (
     regularity_profile,
     save_ltf_file,
     tail_ratio,
-    tail_ratio_check,
     truth_table,
     wht,
 )
@@ -95,8 +94,8 @@ _JUNK_CALLS = {
     "gaussian_cdf-none-entry": lambda: gaussian_cdf([0.0, None]),
     "gaussian_tail-str-theta": lambda: gaussian_tail("x"),
     "tail_ratio-str-theta": lambda: tail_ratio("x"),
-    "tail_ratio_check-str-grid": lambda: tail_ratio_check("ab"),
-    "regular_cdf_gap-str-grid": lambda: regular_cdf_gap(_LT, t_grid="x"),
+    "gaussian_tail-nan-theta": lambda: gaussian_tail(np.nan),
+    "gaussian_cdf-nan-entry": lambda: gaussian_cdf([0.0, np.nan]),
 }
 
 
