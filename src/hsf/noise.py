@@ -13,8 +13,9 @@ closed-form lower-bound certificate for the noise sensitivity of a threshold
 sign(X - theta).  The rectangles come from the bivariate normal CDF by one
 20-point Gauss-Legendre rule in pure Python: on the angle integral below
 |rho| = 0.925, and on Genz's (2004, Stat. Comput. 14) high-correlation form of
-the Drezner-Wesolowsky (1990) integral above it.  Only the univariate normal
-tail needs scipy, and only scipy.special.
+the Drezner-Wesolowsky (1990) integral above it.  The univariate normal tail
+is Cephes' erfc (Moshier 1989), ported op for op, so it gives the bits of
+scipy.special.erfc without scipy.
 """
 
 from __future__ import annotations
@@ -57,6 +58,25 @@ _GL_NODES = (
     (0.07652652113349734, 0.15275338713072584),
 )
 _GL_WEIGHT_SUM = math.fsum(w for _, w in _GL_NODES for _side in (-1, 1))
+
+# Cephes' ndtr.c erfc tables, highest power first; a leading 1.0 marks a table
+# that Cephes evaluates by p1evl, which adds x where polevl multiplies by 1.0,
+# the same double.  P/Q serve 1 <= |x| < 8, R/S |x| >= 8, and T/U erf below 1.
+_ERFC_MAXLOG = 7.09782712893383996843e2
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+_ERFC_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+           7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERFC_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+           2.26290000613890934246e4, 4.92673942608635921086e4)
 
 
 @dataclass(frozen=True)
@@ -179,13 +199,45 @@ def ns_mc(f, epsilon: float, samples: int, seed) -> McEstimate:
     return _mc_estimate(samples, seed, hits)
 
 
+def _polevl(x: np.ndarray, coef: tuple) -> np.ndarray:
+    # Horner's rule in Cephes' order, one multiply and one add a step.
+    y = coef[0]
+    for c in coef[1:]:
+        y = y * x + c
+    return y
+
+
+def _erfc(x: np.ndarray) -> np.ndarray:
+    # Cephes' erfc on a NaN-free float64 array, op for op, so every bit is
+    # scipy.special.erfc's: 1 - erf(x) below |x| = 1, exp(-x^2) P/Q or R/S
+    # above it, 2 - that for negative x, and the limits 0 and 2 once x^2 >
+    # MAXLOG.  exp is libm's, through math.exp, as Cephes calls it: numpy's
+    # vectorised exp differs from it in the last bit.
+    a = np.minimum(np.abs(x), 27.0)  # past sqrt(MAXLOG) ~ 26.64; keeps x^2 finite
+    out = np.where(x < 0.0, 2.0, 0.0)
+    inner = a < 1.0
+    s = x[inner]
+    out[inner] = 1.0 - s * _polevl(s * s, _ERFC_T) / _polevl(s * s, _ERFC_U)
+    for tail, num, den in (((a >= 1.0) & (a < 8.0), _ERFC_P, _ERFC_Q),
+                           ((a >= 8.0) & (a * a <= _ERFC_MAXLOG), _ERFC_R, _ERFC_S)):
+        s = a[tail]
+        e = np.fromiter(map(math.exp, (-(s * s)).tolist()), float, s.size)
+        y = e * _polevl(s, num) / _polevl(s, den)
+        out[tail] = np.where(x[tail] < 0.0, 2.0 - y, y)
+    return out
+
+
 def gaussian_tail(theta):
-    """Upper tail P[N(0,1) >= theta], accurate to ~1e-15 relative."""
-    from scipy import special  # loaded on first use: ~0.2 s over numpy, which most commands skip
+    """Upper tail P[N(0,1) >= theta].
+
+    Within 2e-14 relative of a 40-digit mpmath tail for theta <= 10, and
+    within 3e-13 up to theta = 37.5, on a 4,001-point grid from -8: the
+    rounding of theta^2 inside exp(-theta^2 / 2) grows with theta.
+    """
     t = _bits.reals("theta", theta)
     if np.isnan(t).any():
         raise InvalidInputError("Gaussian tail and CDF arguments must not be NaN")
-    out = 0.5 * special.erfc(t / math.sqrt(2.0))
+    out = 0.5 * _erfc(t / math.sqrt(2.0))
     return float(out) if t.ndim == 0 else out
 
 

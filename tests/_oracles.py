@@ -3,7 +3,7 @@
 Everything here deliberately avoids the fast code paths it is used to check:
 the spectrum oracle is the quadratic-time inner-product definition, majority
 tables come straight from popcounts, the support of a table is read by
-flipping one variable at a time, the tail-ratio references go through mpmath
+flipping one variable at a time, the Gaussian tail references go through mpmath
 at high precision, and the CDF gap is counted at every value of w . x over
 the input-order cube against mpmath's normal CDF.  The per-instance kernels
 (Walsh-Hadamard butterfly, linear-form table, popcounts, degree weights,
@@ -84,6 +84,12 @@ def parity_values(n: int, subset: int) -> np.ndarray:
 def point_of_row(n: int, row: int) -> np.ndarray:
     """The +-1 point encoded by a table row (set bit means -1)."""
     return np.array([-1 if (row >> j) & 1 else 1 for j in range(n)], dtype=np.int64)
+
+
+def mp_gaussian_tail(t: float) -> float:
+    """P[N(0,1) >= t] at 40 significant digits, rounded to a double."""
+    with mpmath.workdps(40):
+        return float(mpmath.ncdf(-mpmath.mpf(t)))
 
 
 def mp_tail_ratio(t: float) -> float:

@@ -1,15 +1,17 @@
 """Which heavy modules load, and when.
 
 Each case runs in a fresh interpreter, so modules imported by other tests
-cannot leak in.  scipy is loaded only by the commands that compute Gaussian
-CDFs, and then only ``scipy.special``: the bivariate normal CDF is a
-Gauss-Legendre rule in pure Python, so ``checks`` loads no
-``scipy.integrate``, and its nodes are literals, so ``import hsf.cli`` loads
-no ``numpy.polynomial``.  The `checks` case also guards against a vacuous
-pass: if scipy were never importable from the package at all, the first case
-would pass for the wrong reason.  ``import hsf`` loads no numpy, and the
-command sets ``OPENBLAS_NUM_THREADS`` to 1 before numpy loads unless the
-caller set it.
+cannot leak in.  No command needs scipy: the normal tail is a port of Cephes'
+erfc and the bivariate normal CDF a Gauss-Legendre rule, both on numpy and
+the math module.  The two scipy cases prove it rather than observing it: a
+``sys.meta_path`` finder refuses every ``scipy`` import before ``hsf`` loads,
+the commands other than ``checks`` run under it in one case, and ``checks``
+and the Gaussian rectangle routes in the other, and each interpreter then
+fails a deliberate ``import scipy``, so the blocker was in force and the pass
+is not vacuous.  The Gauss-Legendre nodes are literals,
+so ``import hsf.cli`` loads no ``numpy.polynomial``.  ``import hsf`` loads no
+numpy, and the command sets ``OPENBLAS_NUM_THREADS`` to 1 before numpy loads
+unless the caller set it.
 The package resolves its exports lazily, so the last cases check that every
 name in ``hsf.__all__`` still exists, that an unknown name is an
 ``AttributeError``, and that each export has a caller, so no function lives
@@ -28,13 +30,41 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
-_NO_SCIPY_SCRIPT = """
+# Refuses every scipy import, then loads the command.  A script that starts
+# with this ends with _NO_SCIPY_REPORT.
+_NO_SCIPY_PREAMBLE = """
 import json, os, sys
-import hsf.cli
+
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"scipy import refused: {name}")
+
+
+sys.meta_path.insert(0, NoScipy())
 from hsf.cli import main
+
+polynomial = [m for m in sys.modules if m.startswith("numpy.polynomial")]
+out = sys.argv[1]
+"""
+
+# A deliberate `import scipy` must fail, so the blocker was in force.
+_NO_SCIPY_REPORT = """
+try:
+    import scipy
+except ImportError:
+    refused = True
+else:
+    refused = False
+print(json.dumps({"codes": codes, "values": values, "refused": refused,
+                  "polynomial_at_import": polynomial,
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+_OTHER_COMMANDS_SCRIPT = _NO_SCIPY_PREAMBLE + """
 from hsf.ltf import save_ltf_file
 
-out = sys.argv[1]
 ltf = os.path.join(out, "f.json")
 save_ltf_file(ltf, [3.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.5, 0.25], 0.5)
 codes = [
@@ -46,19 +76,17 @@ codes = [
     main(["analyze", "--ltf", ltf, "--out", os.path.join(out, "analyze.csv")]),
     main(["gaussian", "--samples", "2000", "--out", os.path.join(out, "gaussian.csv")]),
 ]
-print(json.dumps({"codes": codes,
-                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
-"""
+values = []
+""" + _NO_SCIPY_REPORT
 
-_CHECKS_SCRIPT = """
-import json, os, sys
-from hsf.cli import main
+# `checks` and the Gaussian library routes; |rho| >= 0.925 takes Genz's
+# high-correlation branch.
+_CHECKS_SCRIPT = _NO_SCIPY_PREAMBLE + """
+from hsf import bivariate_rectangle, gaussian_disagreement
 
-polynomial = [m for m in sys.modules if m.startswith("numpy.polynomial")]  # scipy loads it later
-main(["checks", "--samples", "2000", "--out", os.path.join(sys.argv[1], "checks.csv")])
-print(json.dumps({"polynomial_at_import": polynomial,
-                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
-"""
+codes = [main(["checks", "--samples", "2000", "--out", os.path.join(out, "checks.csv")])]
+values = [gaussian_disagreement(0.3, 0.95), bivariate_rectangle((-1.0, 0.5), (0.0, 2.0), -0.97)]
+""" + _NO_SCIPY_REPORT
 
 
 # Runs STATEMENT and records OPENBLAS_NUM_THREADS as numpy starts to load.
@@ -109,19 +137,25 @@ def _run(script: str, tmp_path, blas_threads: str | None = None) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def test_cli_commands_other_than_checks_never_load_scipy(tmp_path):
-    result = _run(_NO_SCIPY_SCRIPT, tmp_path)
-    assert result["codes"] == [0, 0, 0, 0, 0]
+def _assert_no_scipy(result: dict) -> None:
     assert result["scipy"] == []
+    assert result["refused"]
+    assert result["polynomial_at_import"] == []
+
+
+def test_cli_commands_other_than_checks_never_load_scipy(tmp_path):
+    result = _run(_OTHER_COMMANDS_SCRIPT, tmp_path)
+    assert result["codes"] == [0, 0, 0, 0, 0]
+    _assert_no_scipy(result)
     for name in ("sweep", "junta", "analyze", "gaussian"):
         assert (tmp_path / f"{name}.csv").stat().st_size > 0
 
 
-def test_checks_loads_scipy(tmp_path):
+def test_checks_never_loads_scipy(tmp_path):
     result = _run(_CHECKS_SCRIPT, tmp_path)
-    assert "scipy.special" in result["scipy"]
-    assert [m for m in result["scipy"] if m.startswith("scipy.integrate")] == []
-    assert result["polynomial_at_import"] == []
+    assert result["codes"] == [0]
+    assert all(0.0 < value < 1.0 for value in result["values"])
+    _assert_no_scipy(result)
     assert (tmp_path / "checks.csv").stat().st_size > 0
 
 

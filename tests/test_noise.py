@@ -38,6 +38,7 @@ from _oracles import (
     TAIL_RATIO_BAND_MIN,
     majority_values,
     mp_bvn_cdf,
+    mp_gaussian_tail,
     mp_tail_ratio,
     parity_values,
     slow_cdf_gap,
@@ -136,17 +137,37 @@ class TestGaussianTail:
             assert gaussian_cdf(t) == pytest.approx(1 - gaussian_tail(t), abs=1e-15)
 
     def test_cdf_is_the_erfc_formula_bit_for_bit(self):
+        # scipy.special.erfc runs Cephes' erfc, the routine noise._erfc ports.
         from scipy import special
 
+        # The branch points 1 and 8, the underflow cut x^2 > MAXLOG, and the
+        # five doubles on each side of each.
+        edges = np.array([1.0, 8.0, math.sqrt(noise._ERFC_MAXLOG)])
+        for _ in range(5):
+            edges = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 99.0)])
+        x = np.concatenate([
+            edges, -edges,
+            np.random.default_rng(7).uniform(-30.0, 30.0, 1_000_000),
+            [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e-300, math.inf, -math.inf],
+        ])
+        assert noise._erfc(x).tobytes() == special.erfc(x).tobytes()
         t = np.concatenate([
             5.0 * np.random.default_rng(7).standard_normal(10_000),
-            [0.0, -0.0, math.inf, -math.inf, 40.0, -40.0, 1e-300, -1e-300],
+            [0.0, -0.0, math.inf, -math.inf, 40.0, -40.0, 1e-300, -1e-300, 1e300, -1e300],
         ])
         expected = 0.5 * special.erfc(-t / math.sqrt(2.0))
         assert gaussian_cdf(t).tobytes() == expected.tobytes()
         assert isinstance(gaussian_cdf([0.0, 1.0]), np.ndarray)
         assert type(gaussian_cdf(np.asarray(1.0))) is float
         assert type(gaussian_cdf(1.0)) is float
+
+    def test_tail_within_its_documented_relative_error(self):
+        # The rounding of x^2 inside exp(-x^2) grows the relative error with t.
+        t = np.linspace(-8.0, 37.5, 4001)
+        exact = np.array([mp_gaussian_tail(v) for v in t])
+        rel = np.abs(gaussian_tail(t) - exact) / exact
+        assert rel[t <= 10.0].max() <= 2e-14
+        assert rel.max() <= 3e-13
 
     def test_tail_ratio_frozen(self):
         assert tail_ratio(0.0) == 0.5
@@ -352,7 +373,7 @@ class TestSeededMonteCarlo:
         # forms kept alive while the next chunk is drawn raise the peak to 14 MiB.
         lt = canonicalize(np.ones(16), 0.0)
         args = (lt, (0, math.inf), (0, math.inf), 0.1)
-        boolean_pair_quadrant_mc(*args, 10, seed=63)  # scipy loads outside the trace
+        boolean_pair_quadrant_mc(*args, 10, seed=63)  # one-time lazy loads fall outside the trace
         tracemalloc.start()
         try:
             boolean_pair_quadrant_mc(*args, 2 * (1 << 17) + 1, seed=63)
