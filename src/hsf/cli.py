@@ -275,10 +275,7 @@ def _table_and_head(seed: int, k: int) -> tuple:
     # A random 8-ary table and a random 3-of-8 head, seeded by (seed, k).
     f = random_function(8, seed=[seed, k])
     rng = np.random.default_rng([seed, k, 1])
-    head = 0
-    for c in rng.choice(8, size=3, replace=False):
-        head |= 1 << int(c)
-    return f, head
+    return f, sum(1 << int(c) for c in rng.choice(8, size=3, replace=False))
 
 
 def cmd_checks(args: argparse.Namespace) -> int:
@@ -305,11 +302,8 @@ def cmd_checks(args: argparse.Namespace) -> int:
     for _ in range(8):
         f, head = _table_and_head(args.seed, k)
         complement = ((1 << 8) - 1) ^ head
-        worst = None
-        for subset in _bits.submasks(complement):
-            res = restriction_energy_identity(f, head, int(subset))
-            if worst is None or res.gap > worst.gap:
-                worst = res
+        worst = max((restriction_energy_identity(f, head, int(subset))
+                     for subset in _bits.submasks(complement)), key=lambda res: res.gap)
         rows.append(("restriction-energy", k, worst.lhs, worst.rhs, worst.gap,
                      worst.gap <= 1e-9))
         k += 1
@@ -362,8 +356,8 @@ def cmd_checks(args: argparse.Namespace) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
-                        help="base seed (fallback: HSF_SEED env, then 0)")
+    common.add_argument("--seed", type=int, default=0,
+                        help="base seed, nonnegative (default: %(default)s)")
     common.add_argument("--max-n", type=int, default=DEFAULT_ARITY_CAP, dest="max_n",
                         help=f"arity cap for exact operations, up to {MAX_ARITY_CAP}"
                         " (default: %(default)s)")
@@ -435,20 +429,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_seed(args: argparse.Namespace) -> int:
-    seed, source = args.seed, "--seed"
-    env = os.environ.get("HSF_SEED")
-    if seed is None and env:
-        source = "HSF_SEED"
-        try:
-            seed = int(env)
-        except ValueError:
-            raise InvalidInputError(f"HSF_SEED must be an integer, got {env!r}") from None
-    if seed is not None and seed < 0:
-        raise InvalidInputError(f"{source} must be nonnegative, got {seed}")
-    return seed or 0
-
-
 def main(argv=None) -> int:
     # glibc raises its mmap and trim thresholds as blocks happen to be freed, so
     # whether a sweep faulted each instance's pages in again was incidental (a
@@ -465,7 +445,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        args.seed = _resolve_seed(args)
+        if args.seed < 0:
+            raise InvalidInputError(f"--seed must be nonnegative, got {args.seed}")
         check_int("--max-n", args.max_n, 1, MAX_ARITY_CAP)
         return args.func(args)
     except (HsfError, OSError) as exc:

@@ -28,11 +28,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _bits
-from .errors import InvalidInputError, check_cap, check_int, check_range
+from .errors import InvalidInputError, check_int, check_range
 from .fncore import DEFAULT_ARITY_CAP, BooleanFunction, FourierSpectrum, wht
 from .ltf import Ltf, canonical_table, critical_index, head_mask
 from .noise import CHECK_TOL, ns_exact
-from .restriction import HEAD_CAP, bias_profile
+from .restriction import bias_profile
 
 # Reports with eps and delta both at most this are flagged within_validity;
 # larger values are still extracted, only the flag records the range.
@@ -230,8 +230,8 @@ def extract_junta(
     junta (index beyond budget).  The theorem's empirical constants, both
     finite and positive, are ``c_ns``, which scales the premise bound, and
     ``c_l``, which scales the head budget.  The premise exponent (2 - eps) /
-    (1 - eps), the validity range (VALIDITY_LIMIT) and the head cap
-    (:data:`~hsf.restriction.HEAD_CAP`) are fixed; the arity cap is prepare's.
+    (1 - eps) and the validity range (VALIDITY_LIMIT) are fixed; the arity cap
+    is prepare's, and a head of any size up to ``n_active`` is built.
     """
     epsilon, delta = _check_eps_delta(epsilon, delta)
     if isinstance(instance, Ltf):
@@ -253,8 +253,6 @@ def extract_junta(
         case, size = JuntaCase.PROJECTION, int(ell)  # IIa unless the projection is certified
     else:
         case, size = JuntaCase.HEAD_JUNTA, min(budget, ltf.n_active)
-    if size < ltf.n_active:  # a head of every active coordinate is the whole function
-        check_cap("head size", size, HEAD_CAP, "head cap")
     if size:
         junta_set, biases = head_mask(ltf, size), instance.head_biases(size)
     else:  # the empty head has one block, whose bias E[f] the spectrum holds

@@ -298,8 +298,6 @@ def random_ltf(
         weights = np.ones(n)
     elif family == "gaussian":
         weights = rng.standard_normal(n)
-        if not np.any(weights != 0.0):
-            raise DegenerateLtfError("gaussian draw produced an all-zero vector")
     else:
         weights = rate ** np.arange(1, n + 1, dtype=np.float64)
     if kind == "gaussian":  # the golden theta column depends on this order of products

@@ -45,12 +45,15 @@ _AGG = ns_aggregation_check(random_function(4, seed=0), 0b11, 0.1)
 # too large for the float arithmetic that follows; arity caps above 24; seeds
 # numpy rejects; points, tables and weights of the wrong shape or type; weights
 # JSON cannot hold; real arrays and grids with entries that are not bools, ints
-# or floats; spectra with a coefficient or a sum of squares that is not finite.
+# or floats; spectra with a coefficient or a sum of squares that is not finite;
+# a theta law that is not a string; an instance whose parts disagree in arity.
 # None of them may warn on the way to its refusal.
 _JUNK_CALLS = {
     "extract_junta-str-eps": lambda: extract_junta(_LT, "x", 0.5),
     "extract_junta-none-eps": lambda: extract_junta(_LT, None, 0.5),
     "random_ltf-str-rate": lambda: random_ltf(4, "geometric", rate="x"),
+    "random_ltf-int-theta-law": lambda: random_ltf(4, "equal", theta_law=5),
+    "Instance-arities-disagree": lambda: hsf.Instance(_LT, truth_table(_LT), wht(_F)),
     "threshold_corollary-str-delta": lambda: _AGG.threshold_corollary(0.1, "x"),
     "BooleanFunction-negative-arity": lambda: BooleanFunction(-1, [1]),
     "BooleanFunction-float-arity": lambda: BooleanFunction(2.0, [1, 1, 1, 1]),

@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from hsf import (
     premise_bound,
     prepare,
     random_function,
+    random_ltf,
     theorem_verify,
     truth_table,
 )
@@ -280,22 +282,48 @@ class TestCapsAndValidation:
         with pytest.raises(CapExceededError, match="exceeds cap"):
             extract_junta(lt, 0.25, 0.62)
 
-    def test_head_cap_in_projection_case(self):
-        # Critical index 18 within budget 21: the projection head is too big.
+    def test_projection_head_past_sixteen_extracts(self):
+        # Critical index 18 within budget 21: an 18-coordinate projection head.
         weights = np.concatenate([0.5 ** np.arange(1, 18), np.full(5, 1e-6)])
-        instance = prepare(canonicalize(weights, 0.0), cap=22)
-        with pytest.raises(CapExceededError, match="exceeds head cap 16"):
-            extract_junta(instance, 0.5, 0.9, c_l=70)
+        lt = canonicalize(weights, 0.0)
+        report = extract_junta(prepare(lt, cap=22), 0.5, 0.9, c_l=70)
+        assert report.case is JuntaCase.PROJECTION
+        assert report.junta_size == 18
+        assert report.distance == 0.0 == junta_distance(
+            truth_table(lt, cap=22).values, report.approximator.values, report.junta_set, 22)
+        assert theorem_verify(report).label == "pass"
 
-    def test_head_cap_in_budget_case(self):
-        # Budget 17 below the 20 active coordinates: the budget head is too big.
+    def test_budget_head_past_sixteen_extracts(self):
+        # Budget 17 below the 20 active coordinates: a 17-coordinate budget head.
         lt = canonicalize(0.6 ** np.arange(1, 21), 0.0)
-        with pytest.raises(CapExceededError, match="exceeds head cap 16"):
-            extract_junta(lt, EPS, WIDE_DELTA, c_l=1.6)
+        report = extract_junta(lt, EPS, WIDE_DELTA, c_l=1.6)
+        assert report.case is JuntaCase.HEAD_JUNTA
+        assert report.junta_size == 17
+        assert report.distance == 4.76837158203125e-05 == junta_distance(
+            truth_table(lt).values, report.approximator.values, report.junta_set, 20)
+        assert theorem_verify(report).label == "premise-violated"
 
-    def test_whole_function_head_ignores_head_cap(self):
-        # Budget 20 covers all 20 active coordinates: the table itself is the
-        # junta, so no bias profile is taken and the head cap does not apply.
+    def test_proper_head_peaks_no_higher_than_whole_head(self):
+        # Why extract_junta needs no head cap: the bias array of a proper head
+        # is smaller than the whole head's, which the arity cap admits.
+        n = 18
+        instance = prepare(random_ltf(n, "gaussian", theta_law="gaussian:1", seed=n), cap=n)
+        peaks = []
+        tracemalloc.start()
+        try:
+            for size in (instance.ltf.n_active - 1, instance.ltf.n_active):
+                tracemalloc.reset_peak()
+                before, _ = tracemalloc.get_traced_memory()
+                instance.head_biases(size)
+                _, peak = tracemalloc.get_traced_memory()
+                peaks.append(peak - before)
+        finally:
+            tracemalloc.stop()
+        assert peaks[0] <= peaks[1]
+
+    def test_whole_function_head_is_at_distance_zero(self):
+        # Budget 20 covers all 20 active coordinates: the head blocks are the
+        # rows of the table, so the junta is the function itself.
         lt = canonicalize(0.6 ** np.arange(1, 21), 0.0)
         report = extract_junta(lt, EPS, WIDE_DELTA, c_l=1.8)
         assert report.case is JuntaCase.HEAD_JUNTA
