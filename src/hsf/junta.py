@@ -139,7 +139,6 @@ class Instance:
         ``bias_profile(truth_table(ltf), head_mask(ltf, size))`` read from the
         sorted-position table by the same reduction, ``_bits.head_sums``:
         packed bit j reads the position of the j-th smallest head coordinate.
-        Unlike bias_profile it applies no head cap.
         """
         check_int("size", size, 0, self.ltf.n_active)
         n = self.table.arity
@@ -233,7 +232,9 @@ def extract_junta(
     (1 - eps) and the validity range (VALIDITY_LIMIT) are fixed; the arity cap
     is prepare's, and a head of any size up to ``n_active`` is built.
     """
-    epsilon, delta = _check_eps_delta(epsilon, delta)
+    bound = premise_bound(epsilon, delta, c_ns)  # these two check eps, delta, c_ns and c_l
+    budget = junta_budget(epsilon, delta, c_l)
+    epsilon, delta = float(epsilon), float(delta)
     if isinstance(instance, Ltf):
         instance = prepare(instance)
     ltf, spectrum = instance.ltf, instance.spectrum
@@ -241,9 +242,7 @@ def extract_junta(
     if epsilon not in instance._per_eps:  # neither value depends on delta
         instance._per_eps[epsilon] = (ns_exact(spectrum, epsilon), critical_index(ltf, epsilon))
     ns_value, ell = instance._per_eps[epsilon]
-    bound = premise_bound(epsilon, delta, c_ns)
     premise_holds = ns_value <= bound
-    budget = junta_budget(epsilon, delta, c_l)
     small_delta = delta ** (1.0 / (1.0 - epsilon)) < math.sqrt(epsilon)
     within = epsilon <= VALIDITY_LIMIT and delta <= VALIDITY_LIMIT
 

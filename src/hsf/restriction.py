@@ -24,7 +24,7 @@ from .errors import InvalidInputError, check_cap, check_int, check_range
 from .fncore import BooleanFunction, wht
 from .noise import CHECK_TOL, ns_exact
 
-# Largest head whose 2**h assignments a bias profile or aggregation enumerates.
+# Largest head whose 2**h restrictions ns_aggregation_check transforms one by one.
 HEAD_CAP = 16
 
 
@@ -93,13 +93,10 @@ def restrict(f: BooleanFunction, head: int, index: int) -> BooleanFunction:
 
 
 def bias_profile(f: BooleanFunction, head: int) -> np.ndarray:
-    """E[f] conditioned on every head assignment, by packed index (read-only).
-
-    A head of more than HEAD_CAP coordinates fails with CapExceededError.
-    """
+    """E[f] conditioned on every head assignment, by packed index (read-only)."""
     head_pos = _check_head(head, f.arity)
-    h = check_cap("head size", len(head_pos), HEAD_CAP, "head cap")
-    return _bits.read_only(_bits.head_sums(f.values, head_pos, f.arity) / (1 << (f.arity - h)))
+    sums = _bits.head_sums(f.values, head_pos, f.arity)
+    return _bits.read_only(sums / (1 << (f.arity - len(head_pos))))
 
 
 def restriction_energy_identity(

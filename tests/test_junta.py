@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import hsf
 from hsf import (
     BooleanFunction,
     CapExceededError,
@@ -83,6 +84,22 @@ class TestBudgetAndPremise:
         assert prepare(lt, cap=MAX_ARITY_CAP).table.arity == 3
         with pytest.raises(InvalidInputError, match=r"^cap must be in \[0, 24\], got 25$"):
             prepare(lt, cap=MAX_ARITY_CAP + 1)
+
+    @pytest.mark.parametrize("name,value", [("c_ns", -1.0), ("c_l", 0.0)])
+    def test_constants_checked_before_any_work(self, monkeypatch, name, value):
+        # A bad constant is refused before an Ltf is prepared and before an
+        # Instance remembers any per-eps work.
+        def no_prepare(*args, **kwargs):
+            raise AssertionError("prepared before the constants were checked")
+
+        message = rf"^{name} must be in \(0, inf\)"
+        instance = prepare(random_ltf(8, "gaussian", seed=8))
+        with pytest.raises(InvalidInputError, match=message):
+            extract_junta(instance, 0.1, 0.1, **{name: value})
+        assert instance._per_eps == {}
+        monkeypatch.setattr(hsf.junta, "prepare", no_prepare)
+        with pytest.raises(InvalidInputError, match=message):
+            extract_junta(instance.ltf, 0.1, 0.1, **{name: value})
 
     @pytest.mark.parametrize("cap", [4.5, 20.0, True, np.bool_(True), "20", None])
     def test_arity_cap_must_be_an_int(self, cap):

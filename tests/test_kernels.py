@@ -592,16 +592,19 @@ def test_verdict_matches_the_delta_multiple_rule(args):
         event(str(report.case))
 
 
-# Sorted-position instances against the input-order table, at n <= 16 so every
-# head size fits the head cap.  One explicit draw has ties, two dropped
-# coordinates and a threshold on an exact tie row.
+# Sorted-position instances against the input-order table, drawn at n <= 16.
+# One explicit draw has ties, two dropped coordinates and a threshold on an
+# exact tie row; another, at n = 18, reads heads of 17 and 18 coordinates.
 _WIDE16_W = np.r_[np.full(5, 0.7), 0.0, np.arange(1, 9) * 0.1, 0.0, 2.1]
 _WIDE16 = (_WIDE16_W, float(np.dot(_WIDE16_W, np.resize([1.0, -1.0, -1.0], 16))))
+_WIDE18_W = np.r_[np.full(6, 0.7), np.arange(1, 12) * 0.1, 2.1]
+_WIDE18 = (_WIDE18_W, float(np.dot(_WIDE18_W, np.resize([1.0, -1.0, -1.0], 18))))
 
 
 @settings(max_examples=60, deadline=None)
 @given(weights_and_theta(max_n=16))
 @example(_WIDE16)
+@example(_WIDE18)
 def test_sorted_position_instance_matches_input_order_table(wt):
     lt = canonicalize(*wt)
     instance = prepare(lt)

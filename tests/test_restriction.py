@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 
+import hsf
 from hsf import (
     BooleanFunction,
     CapExceededError,
     InvalidInputError,
     NsAggregation,
     bias_profile,
+    head_projection,
     ns_aggregation_check,
     ns_exact,
     random_function,
@@ -19,7 +21,13 @@ from hsf import (
     wht,
 )
 
-from _oracles import is_junta_on, parity_values, point_of_row, slow_embed_junta
+from _oracles import (
+    is_junta_on,
+    parity_values,
+    point_of_row,
+    slow_bias_profile,
+    slow_embed_junta,
+)
 
 
 def _full_point(n, head, values, sub_row):
@@ -84,10 +92,16 @@ class TestBiasProfile:
                 g = restrict(f, head, index)
                 assert biases[index] == pytest.approx(np.mean(g.values), abs=1e-15)
 
-    def test_head_cap(self):
+    def test_head_past_sixteen(self):
+        # No head cap: a 17-coordinate head reads every block, and so does
+        # head_projection, whose blocks here are the rows of the table.
         f = random_function(17, seed=1)
-        with pytest.raises(CapExceededError, match="cap"):
-            bias_profile(f, (1 << 17) - 1)
+        head = (1 << 17) - 1
+        biases = bias_profile(f, head)
+        assert biases.tobytes() == slow_bias_profile(f.values, range(17), 17).tobytes()
+        projection = head_projection(f, head, 0.1)
+        assert projection.approximator.arity == 17
+        assert projection.approximator.values.tobytes() == f.values.tobytes()
 
 
 class TestEnergyIdentity:
@@ -139,6 +153,16 @@ class TestAggregation:
             assert result.ns_value == pytest.approx(
                 ns_exact(wht(f), eps), abs=1e-15
             )
+
+    def test_head_cap_refuses_before_any_restriction(self, monkeypatch):
+        # The one head cap left guards time: one transform per assignment.
+        def no_restriction(*args, **kwargs):
+            raise AssertionError("restricted before the head cap check")
+
+        monkeypatch.setattr(hsf.restriction, "restrict", no_restriction)
+        f = random_function(17, seed=2)
+        with pytest.raises(CapExceededError, match="^head size 17 exceeds head cap 16$"):
+            ns_aggregation_check(f, (1 << 17) - 1, 0.1)
 
     def test_threshold_corollary_fires_and_holds(self):
         agg = NsAggregation(
