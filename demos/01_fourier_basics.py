@@ -38,12 +38,8 @@ def main():
 
     # A random function spreads weight everywhere; Parseval still holds.
     f = random_function(6, seed=7)
-    spectrum = wht(f)
-    by_degree = np.zeros(7)
-    for subset in range(64):
-        by_degree[bin(subset).count("1")] += spectrum.coefficients[subset] ** 2
     print("random n=6 function, squared weight by degree:")
-    for d, w in enumerate(by_degree):
+    for d, w in enumerate(wht(f).degree_weights):
         print(f"  degree {d}: {w:.4f} " + "#" * int(round(40 * w)))
 
 

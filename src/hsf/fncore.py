@@ -11,9 +11,15 @@ The transform uses H(2**n) = H(2**r) (x) H(64) (x) ... (x) H(64), r = n mod 6
 first, is one batched float32 product with the 64 x 64 Hadamard matrix (its
 leading 2**r block for the top group).  Every operand and every partial sum
 is an integer of magnitude at most 2**n <= 2**24, and float32 holds every
-such integer, so the sums are exact in any order.  The passes alternate
-between the two float32 halves of the float64 result, so the transform holds
-no 2**n array beyond the table and the spectrum: 8 bytes an entry.
+such integer, so the sums are exact in any order.  Every pass runs in place
+in the float32 result, so the transform holds no 2**n array beyond the table
+and the spectrum: 4 bytes an entry.
+
+So :func:`wht` gives its caller an exact float32 spectrum, while a
+FourierSpectrum built from the caller's own reals holds float64.  Every
+reader that squares or sums coefficients widens them to float64 first, a
+chunk at a time: a float32 square of an integer above 2**12 rounds, and so
+does a float32 sum.
 
 All operations are pure and deterministic.  Exact transforms take at most
 64 * ceil(n / 6) multiply-adds per entry and are guarded by an arity cap
@@ -92,7 +98,9 @@ class FourierSpectrum:
     The coefficients and their sum of squares must be finite.  They are
     always a private read-only copy of the caller's array, so no later write
     through another reference (a writable base of a read-only view, say) can
-    reach them or the memoized degree weights.
+    reach them or the memoized degree weights.  Built from the caller's reals
+    they are float64; the spectrum :func:`wht` returns holds its exact float32
+    coefficients, and every method gives it the same bytes as its float64 twin.
     """
 
     arity: int
@@ -112,7 +120,12 @@ class FourierSpectrum:
 
     def total_weight(self) -> float:
         """Sum of squared coefficients (1.0 for a +-1-valued function)."""
-        return float(np.dot(self.coefficients, self.coefficients))
+        # Widened a chunk at a time, since a float32 square or sum rounds; for a
+        # +-1 table's spectrum every partial sum is a multiple of 4**-n of at
+        # most 1, so the sum is exact in any order.
+        parts = (self.coefficients[lo:lo + _CHUNK].astype(np.float64)
+                 for lo in range(0, self.coefficients.size, _CHUNK))
+        return float(sum(np.dot(part, part) for part in parts))
 
     @functools.cached_property
     def degree_weights(self) -> np.ndarray:
@@ -134,7 +147,8 @@ class FourierSpectrum:
         step = _CHUNK >> low  # rows per np.bincount
         span = min(step, len(rows), (_MACS // 8) >> low)  # rows per product
         for lo in range(0, len(rows), step):
-            squares = np.square(rows[lo:lo + step]).reshape(-1, span, 1 << low)
+            # Squared in float64: a float32 square of an integer above 2**12 rounds.
+            squares = np.square(rows[lo:lo + step], dtype=np.float64).reshape(-1, span, 1 << low)
             by_low = np.matmul(squares, indicator).reshape(-1, low + 1)
             del squares  # before the next chunk's squares exist
             for d in range(low + 1):
@@ -184,35 +198,32 @@ def _hadamard_pass(src: np.ndarray, dst: np.ndarray, h: np.ndarray, stride: int)
 
 
 def _hadamard_coefficients(values: np.ndarray, n: int) -> np.ndarray:
-    # Float64 Fourier coefficients of a 2**n-entry int8 table.  The passes
-    # alternate between the two float32 halves of the result; the last writes
-    # the upper half, with 2**-n folded into its matrix (exact: every sum is an
-    # integer of magnitude at most 2**24 times 2**-n).  The upper half is then
-    # widened in place, bottom up, one chunk at a time: entry j lands on the
-    # float32 slots 2j and 2j + 1, below every entry after j still to be read.
+    # Float32 Fourier coefficients of a 2**n-entry int8 table.  The first pass
+    # reads the table, and every later one runs in place in the result: a
+    # np.matmul whose output overlaps its input reads a copy of its slice, at
+    # most _CHUNK entries.  The last pass folds 2**-n into its matrix (exact:
+    # every sum is an integer of magnitude at most 2**24 times 2**-n).
     widths = [64] * (n // 6)
     if n % 6 or not widths:
         widths.append(1 << n % 6)
-    coeffs = np.empty(values.size)
-    halves = coeffs.view(np.float32).reshape(2, -1)
+    coeffs = np.empty(values.size, dtype=np.float32)
     src, stride = values, 1
     for later, width in zip(range(len(widths) - 1, -1, -1), widths):
         h = _H64[:width, :width] if later else _H64[:width, :width] * np.float32(2.0 ** -n)
-        dst = halves[1 - later % 2]
-        _hadamard_pass(src, dst, h, stride)
-        src, stride = dst, stride * width
-    for lo in range(0, values.size, _CHUNK):
-        coeffs[lo:lo + _CHUNK] = src[lo:lo + _CHUNK]
+        _hadamard_pass(src, coeffs, h, stride)
+        src, stride = coeffs, stride * width
     return coeffs
 
 
 def wht(f: BooleanFunction) -> FourierSpectrum:
     """Fourier coefficients of ``f`` via the fast transform.
 
-    One exact float32 Kronecker pass per six bits (see the module docstring),
-    the last scaled by 2**-n and widened to the float64 result: exact, so each
-    coefficient equals the exact integer sum divided by 2**n bit for bit, and
-    the spectrum's ``degree_weights`` are exact too.
+    One exact float32 Kronecker pass per six bits in place in the float32
+    result (see the module docstring), the last scaled by 2**-n: exact, so
+    each coefficient equals the exact integer sum divided by 2**n bit for bit,
+    and the spectrum's ``degree_weights`` are exact too.  The coefficients
+    stay float32, 4 bytes an entry; the readers that square or sum them widen
+    to float64 first.
 
     Raises CapExceededError for arities above MAX_ARITY_CAP (24), where the
     float32 sums would round.
@@ -225,9 +236,9 @@ def synthesize(spectrum: FourierSpectrum) -> np.ndarray:
     """Real-valued table of the polynomial with the given coefficients.
 
     Inverse of :func:`wht` up to rounding: the in-place float64 butterfly on
-    a copy of the coefficients, without the normalization.
+    a float64 copy of the coefficients, without the normalization.
     """
-    return _butterfly(spectrum.coefficients.copy())
+    return _butterfly(spectrum.coefficients.astype(np.float64))  # float32 sums round
 
 
 def random_function(arity: int, seed, cap: int = DEFAULT_ARITY_CAP) -> BooleanFunction:

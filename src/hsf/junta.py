@@ -255,7 +255,8 @@ def extract_junta(
     if size:
         junta_set, biases = head_mask(ltf, size), instance.head_biases(size)
     else:  # the empty head has one block, whose bias E[f] the spectrum holds
-        junta_set, biases = 0, spectrum.coefficients[:1]
+        # widened, so no float32 of a wht spectrum reaches the distance step
+        junta_set, biases = 0, spectrum.coefficients[:1].astype(np.float64)
 
     frac_unbiased = residual_sq = iia_bound = math.nan
     guarantee, sign_source = delta, biases

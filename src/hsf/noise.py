@@ -404,7 +404,7 @@ def constant_bound_check(spectrum: FourierSpectrum, epsilon: float) -> ConstantB
     """Verify NS_eps(f) >= eps * (1 - E[f]^2), the distance-from-constant bound."""
     epsilon = check_range("epsilon", epsilon, 0, 0.5)
     ns_value = ns_exact(spectrum, epsilon)
-    mean = float(spectrum.coefficients[0])
+    mean = float(spectrum.coefficients[0])  # widened before it is squared
     bound = epsilon * (1.0 - mean * mean)
     return ConstantBoundCheck(ns_value=ns_value, bound=bound, holds=ns_value >= bound - CHECK_TOL)
 

@@ -126,7 +126,7 @@ def restriction_energy_identity(
     lhs = sum(c * c for c in coeffs) / (1 << h)  # summed in assignment order
     parent = wht(f).coefficients
     attached = np.asarray(subset | _bits.submasks(head))
-    rhs = float(np.sum(parent[attached] ** 2))
+    rhs = float(np.sum(np.square(parent[attached], dtype=np.float64)))  # float32 squares round
     return RestrictionEnergy(lhs=lhs, rhs=rhs, gap=abs(lhs - rhs))
 
 

@@ -165,14 +165,14 @@ def slow_popcounts(n: int) -> np.ndarray:
 
 
 def slow_degree_weights(coefficients: np.ndarray, n: int) -> np.ndarray:
-    """Squared coefficient mass per degree from one plain bincount."""
-    sq = coefficients * coefficients
+    """Squared coefficient mass per degree from one plain bincount, squared in float64."""
+    sq = np.square(coefficients, dtype=np.float64)
     return np.bincount(slow_popcounts(n), weights=sq, minlength=n + 1)
 
 
 def fsum_degree_weights(coefficients: np.ndarray, n: int) -> np.ndarray:
-    """Squared coefficient mass per degree, one math.fsum of the squares each."""
-    sq = coefficients * coefficients
+    """Squared coefficient mass per degree, one math.fsum of the float64 squares each."""
+    sq = np.square(coefficients, dtype=np.float64)
     degrees = slow_popcounts(n)
     return np.array([math.fsum(sq[degrees == d]) for d in range(n + 1)])
 

@@ -7,13 +7,15 @@ routes in ``_oracles``, so equality is asserted on ``tobytes()``, never with a
 tolerance.  Arities reach 18 so the 2**16-entry chunking boundary is crossed,
 and fixed cases with 17 and 21 active coordinates run the table's block path
 with one and five high bits.  The transform, one float32 Kronecker pass with
-the 64 x 64 Hadamard matrix per six bits inside the two halves of its float64
-result, must match the float64 butterfly divided by 2**n exactly up to arity
-22, and the exact spectrum at arity 24, where its sums reach 2**24, the end of
-float32's exact integers.  The degree weights, one chunked route for every
-spectrum, must equal one plain bincount for the spectrum of a +-1 table, where
-every sum is exact, and stay within their chain of roundings of one math.fsum
-per degree for arbitrary reals; the table, the transform and those weights
+the 64 x 64 Hadamard matrix per six bits in place in its float32 result, must
+return float32 coefficients that, widened, match the float64 butterfly divided
+by 2**n exactly up to arity 22, and the exact spectrum at arity 24, where its
+sums reach 2**24, the end of float32's exact integers.  Every reader of such a
+spectrum widens before it squares or sums, so it reads byte for byte as its
+float64 twin does.  The degree weights, one chunked route for every spectrum,
+must equal one plain bincount for the spectrum of a +-1 table, where every
+sum is exact, and stay within their chain of roundings of one math.fsum per
+degree for arbitrary reals; the table, the transform and those weights
 must stay within their memory bounds.  The distance an extraction reads from
 block counts must equal, byte for byte, the distance of its junta lifted to
 the full table by the bit-loop oracle, in every case.  A prepared instance is
@@ -26,6 +28,7 @@ and never on a constant one, so the golden sweep reads none.
 """
 
 import dataclasses
+import math
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -45,6 +48,7 @@ from hsf import (
     canonical_table,
     canonicalize,
     cli,
+    constant_bound_check,
     extract_junta,
     head_mask,
     ns_exact,
@@ -54,6 +58,7 @@ from hsf import (
     regular_cdf_gap,
     regularity_profile,
     restrict,
+    restriction_energy_identity,
     synthesize,
     theorem_verify,
     truth_table,
@@ -273,11 +278,19 @@ def _wht_oracle(f):
     return slow_butterfly(f.values) / float(f.values.size)
 
 
+def _widened(f):
+    # wht's exact float32 coefficients, widened for a byte comparison with a
+    # float64 route.
+    coeffs = wht(f).coefficients
+    assert coeffs.dtype == np.float32
+    return coeffs.astype(np.float64)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 16), st.integers(0, 2**32 - 1))
 def test_wht_matches_float64_butterfly(n, seed):
     f = random_function(n, seed=seed)
-    assert wht(f).coefficients.tobytes() == _wht_oracle(f).tobytes()
+    assert _widened(f).tobytes() == _wht_oracle(f).tobytes()
 
 
 @pytest.mark.parametrize("n", range(0, 13))
@@ -285,34 +298,34 @@ def test_wht_tiles_match_float64_butterfly(n):
     # n < 6 is one pass with a leading block of the 64 x 64 matrix; n = 6 and
     # 12 are whole 64-wide passes, and the others end with a narrower top pass.
     f = random_function(n, seed=n)
-    assert wht(f).coefficients.tobytes() == _wht_oracle(f).tobytes()
+    assert _widened(f).tobytes() == _wht_oracle(f).tobytes()
 
 
 @pytest.mark.parametrize("n", [18, 19])
 def test_wht_widening_matches_float64_butterfly(n):
-    # Three and four passes, so the last pass reads either half of the result,
-    # and a widening of several chunks.
+    # Three and four passes, so two or three of them run in place in the
+    # result, each over several chunks.
     f = random_function(n, seed=n, cap=n)
-    assert wht(f).coefficients.tobytes() == _wht_oracle(f).tobytes()
+    assert _widened(f).tobytes() == _wht_oracle(f).tobytes()
 
 
 @pytest.mark.parametrize("n", [16, 20, 22])
 def test_wht_tiles_match_float64_butterfly_at_large_arity(n):
     f = random_function(n, seed=n, cap=n)
     expected = _butterfly(f.values.astype(np.float64)) / float(1 << n)
-    assert wht(f).coefficients.tobytes() == expected.tobytes()
+    assert _widened(f).tobytes() == expected.tobytes()
 
 
 def test_wht_of_constant_table_at_n20_reaches_the_largest_sum():
     f = BooleanFunction(20, np.ones(1 << 20, dtype=np.int8))
-    coeffs = wht(f).coefficients
+    coeffs = _widened(f)
     assert coeffs[0] == 1.0 and not np.any(coeffs[1:])
     assert coeffs.tobytes() == _wht_oracle(f).tobytes()
 
 
 def test_wht_of_random_table_at_n22_matches_float64_butterfly():
     f = random_function(22, seed=22, cap=22)
-    assert wht(f).coefficients.tobytes() == _wht_oracle(f).tobytes()
+    assert _widened(f).tobytes() == _wht_oracle(f).tobytes()
 
 
 @pytest.mark.parametrize("variables", [0, 0b1])
@@ -320,14 +333,16 @@ def test_wht_at_n24_matches_the_exact_spectrum(variables):
     # The constant table's empty-set sum is 2**24, the end of the range where
     # float32 holds every integer; the parity of variable 0 cancels to zero
     # everywhere else.  Each coefficient is 1.0 at ``variables`` and +0.0
-    # elsewhere, checked on the bits without a 128 MiB expected array.
+    # elsewhere, checked on the bits of each float32 entry on its own without
+    # a 64 MiB expected array.
     n = 24
     values = np.ones(1 << n, dtype=np.int8)
     if variables:
         values[1::2] = -1
     coeffs = wht(BooleanFunction(n, values)).coefficients
     assert coeffs[variables] == 1.0
-    assert np.count_nonzero(coeffs.view(np.uint64)) == 1
+    assert coeffs.dtype == np.float32
+    assert np.count_nonzero(coeffs.view(np.uint32)) == 1
 
 
 def test_wht_refuses_arities_where_float32_sums_round():
@@ -376,11 +391,11 @@ def test_canonical_table_stays_within_its_memory_bound():
 
 
 def test_wht_and_degree_weights_stay_within_memory_bounds():
-    # The transform runs inside its float64 result: 8 bytes an entry.  A
-    # float32 spare, or a buffer kept alive by a view that outlives its pass,
-    # breaks the first bound; squaring a whole spectrum at once, or a 2**n
-    # popcount array, breaks the second, for a table's spectrum and for
-    # arbitrary reals alike.
+    # The transform runs in place in its float32 result: 4 bytes an entry.  A
+    # float64 result, a float32 spare, or a buffer kept alive by a view that
+    # outlives its pass, breaks the first bound; squaring a whole spectrum at
+    # once, or a 2**n popcount array, breaks the second, for a table's
+    # spectrum and for arbitrary reals alike.
     n = 20
     f = random_function(n, seed=n)
     normal = FourierSpectrum(n, np.random.default_rng(n).standard_normal(1 << n))
@@ -397,7 +412,7 @@ def test_wht_and_degree_weights_stay_within_memory_bounds():
             fills.append(fill_peak - before)
     finally:
         tracemalloc.stop()
-    assert wht_peak <= 8 * (1 << n) + (1 << 20)
+    assert wht_peak <= 4 * (1 << n) + (1 << 20)
     assert max(fills) <= 1 << 20
 
 
@@ -407,6 +422,82 @@ def test_synthesize_non_integer_coefficients_matches_float64_butterfly(n):
     spectrum = FourierSpectrum(n, coeffs)
     assert synthesize(spectrum).tobytes() == slow_butterfly(coeffs).tobytes()
     assert spectrum.coefficients.tobytes() == coeffs.tobytes()
+
+
+@st.composite
+def _tables(draw):
+    # A random table, or the sorted-position table of an LTF family.
+    family = draw(st.sampled_from(["random", "equal", "gaussian", "geometric"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if family == "random":
+        return random_function(draw(st.integers(0, 16)), seed=seed, cap=16)
+    rate = 0.9 if family == "geometric" else None
+    lt = random_ltf(draw(st.integers(1, 16)), family, rate=rate, theta_law="gaussian:1",
+                    seed=seed)
+    return canonical_table(lt, cap=16)
+
+
+def _float_bytes(*values):
+    return np.array(values, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(_tables(), st.sampled_from([0.001, 0.05, 0.25, 0.5]))
+def test_wht_spectrum_and_its_float64_twin_agree_byte_for_byte(f, epsilon):
+    # Every reader widens a float32 spectrum before it squares or sums, so the
+    # exact float32 coefficients and the same values in float64 read alike.
+    spectrum = wht(f)
+    twin = FourierSpectrum(f.arity, spectrum.coefficients.astype(np.float64))
+    assert spectrum.coefficients.dtype == np.float32 and twin.coefficients.dtype == np.float64
+    assert spectrum.degree_weights.tobytes() == twin.degree_weights.tobytes()
+    assert _float_bytes(spectrum.total_weight()) == _float_bytes(twin.total_weight())
+    assert synthesize(spectrum).tobytes() == synthesize(twin).tobytes()
+    assert _float_bytes(ns_exact(spectrum, epsilon)) == _float_bytes(ns_exact(twin, epsilon))
+    checks = [constant_bound_check(spec, epsilon) for spec in (spectrum, twin)]
+    assert _float_bytes(*dataclasses.astuple(checks[0])) == _float_bytes(
+        *dataclasses.astuple(checks[1]))
+
+
+def _one_minus_one(n):
+    # Every entry +1 but one, so the empty-set coefficient is (2**n - 2) / 2**n:
+    # at n = 14 the numerator's square, 16382**2, has 28 significant bits and
+    # rounds in float32.
+    values = np.ones(1 << n, dtype=np.int8)
+    values[0] = -1
+    return BooleanFunction(n, values)
+
+
+def test_total_weight_of_a_float32_spectrum_is_exact():
+    assert wht(_one_minus_one(14)).total_weight() == 1.0
+
+
+def test_restriction_energy_parent_side_is_squared_in_float64():
+    f = _one_minus_one(14)
+    head = 0b111
+    coeffs = slow_butterfly(f.values)[:1 << 3] / float(1 << 14)  # every subset of the head
+    assert restriction_energy_identity(f, head, 0).rhs == math.fsum(coeffs * coeffs)
+
+
+@pytest.mark.parametrize("case, lt, epsilon, delta", [
+    ("SmallDeltaConstant", canonicalize(np.ones(15), 0.0), 0.25, 0.05),
+    ("I_Constant", canonicalize(np.ones(16), 8.0), 0.25, 0.62),
+])
+def test_constant_cells_read_no_float32(monkeypatch, case, lt, epsilon, delta):
+    # The empty head's bias comes from the float32 spectrum; widened, no
+    # float32 reaches a np.dot of the extraction, the distance or a field.
+    operands = []
+    dot = np.dot
+
+    def spy(a, b, *args, **kwargs):
+        operands.extend(np.asarray(x).dtype for x in (a, b))
+        return dot(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "dot", spy)
+    report = extract_junta(lt, epsilon, delta)
+    assert report.case == case and report.junta_set == 0
+    assert operands and np.dtype(np.float32) not in operands
+    fields = [report.distance, *dataclasses.astuple(report.diagnostics)]
+    assert all(type(v) in (float, np.float64, int, bool) for v in fields)
 
 
 class TestAliasing:
