@@ -119,13 +119,9 @@ class FourierSpectrum:
         object.__setattr__(self, "coefficients", _bits.read_only(coeffs.copy()))
 
     def total_weight(self) -> float:
-        """Sum of squared coefficients (1.0 for a +-1-valued function)."""
-        # Widened a chunk at a time, since a float32 square or sum rounds; for a
-        # +-1 table's spectrum every partial sum is a multiple of 4**-n of at
-        # most 1, so the sum is exact in any order.
-        parts = (self.coefficients[lo:lo + _CHUNK].astype(np.float64)
-                 for lo in range(0, self.coefficients.size, _CHUNK))
-        return float(sum(np.dot(part, part) for part in parts))
+        """Sum of the degree weights (Parseval): exactly 1.0 for a +-1 table's
+        spectrum; for other reals its last bits may differ from a plain dot product."""
+        return float(self.degree_weights.sum())
 
     @functools.cached_property
     def degree_weights(self) -> np.ndarray:

@@ -401,11 +401,10 @@ def gaussian_disagreement(theta: float, rho: float) -> float:
 
 
 def constant_bound_check(spectrum: FourierSpectrum, epsilon: float) -> ConstantBoundCheck:
-    """Verify NS_eps(f) >= eps * (1 - E[f]^2), the distance-from-constant bound."""
+    """Verify NS_eps(f) >= eps * (1 - E[f]^2), where E[f]^2 is the degree-0 weight W_0."""
     epsilon = check_range("epsilon", epsilon, 0, 0.5)
     ns_value = ns_exact(spectrum, epsilon)
-    mean = float(spectrum.coefficients[0])  # widened before it is squared
-    bound = epsilon * (1.0 - mean * mean)
+    bound = epsilon * (1.0 - float(spectrum.degree_weights[0]))
     return ConstantBoundCheck(ns_value=ns_value, bound=bound, holds=ns_value >= bound - CHECK_TOL)
 
 

@@ -17,6 +17,9 @@ name in ``hsf.__all__`` still exists, that an unknown name is an
 ``AttributeError``, and that each export has a caller, so no function lives
 only to be exported.  No module reads a private name of another: a helper
 that two modules share gets a public name, as those in ``hsf._bits`` do.
+Only the modules named in ``_COEFFICIENT_READERS`` read a spectrum's
+``.coefficients``; every other reader of squared mass goes through the
+degree weights, which own the widening of a float32 spectrum.
 """
 
 import ast
@@ -294,3 +297,19 @@ def test_no_module_reads_a_private_name_of_another():
                 if isinstance(root, ast.Name) and root.id in modules:
                     reads.append(f"{path.name}:{node.lineno} reads {node.attr}")
     assert reads == []
+
+
+# The modules that read a spectrum's coefficients, and why each does.
+_COEFFICIENT_READERS = {
+    "fncore": "owns the spectrum: its checks, degree weights and synthesize",
+    "junta": "the empty head's bias is the signed empty-set coefficient",
+    "restriction": "the energy identity's parent side, a route kept independent",
+}
+
+
+def test_only_the_listed_modules_read_coefficients():
+    package = ROOT / "src" / "hsf"
+    readers = {path.stem for path in package.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Attribute) and node.attr == "coefficients"}
+    assert readers == set(_COEFFICIENT_READERS)

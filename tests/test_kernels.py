@@ -15,10 +15,14 @@ spectrum widens before it squares or sums, so it reads byte for byte as its
 float64 twin does.  The degree weights, one chunked route for every spectrum,
 must equal one plain bincount for the spectrum of a +-1 table, where every
 sum is exact, and stay within their chain of roundings of one math.fsum per
-degree for arbitrary reals; the table, the transform and those weights
-must stay within their memory bounds.  The distance an extraction reads from
-block counts must equal, byte for byte, the distance of its junta lifted to
-the full table by the bit-loop oracle, in every case.  A prepared instance is
+degree for arbitrary reals.  The total weight and the constant bound read
+those weights: for any real spectrum W_0 is the square of the empty-set
+coefficient bit for bit and the total stays within its rounding chain of a
+math.fsum, and every wht spectrum's total is exactly 1.0.  The table, the
+transform and the weights must stay within their memory bounds.  The
+distance an extraction reads from block counts must equal, byte for byte, the
+distance of its junta lifted to the full table by the bit-loop oracle, in
+every case.  A prepared instance is
 built in sorted-position order, and everything an extraction reads from it
 must equal, byte for byte, the same value read from the input-order table, and
 an instance reused across (eps, delta) cells must report what fresh ones do.
@@ -469,6 +473,39 @@ def _one_minus_one(n):
 
 def test_total_weight_of_a_float32_spectrum_is_exact():
     assert wht(_one_minus_one(14)).total_weight() == 1.0
+
+
+@pytest.mark.parametrize("n", [0, 1, 6, 7, 16, 17, 20])
+def test_total_weight_of_a_wht_spectrum_is_one(n):
+    # Both sides of the 64-entry row and of the 2**16-entry chunk.
+    assert wht(random_function(n, seed=n)).total_weight() == 1.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 18), st.integers(0, 2**32 - 1), st.integers(-560, 480),
+       st.floats(-1e150, 1e150))
+@example(0, 0, 0, 0.5)
+@example(6, 1, 0, -0.25)
+@example(7, 2, -560, 1e-160)
+@example(16, 3, 480, 1e150)
+@example(17, 4, 0, 0.0)
+@example(18, 5, 0, 5e-324)
+def test_degree_weights_own_the_squares_of_real_spectra(n, seed, scale, c0):
+    # W_0 is f^(0)**2 bit for bit: only row 0 has high popcount 0 and only its
+    # first entry low popcount 0, and every other term added is an exact 0.0.
+    # The total passes each square through the rounding chain of its degree's
+    # weight (a 64-term row product, a bincount over at most 1,024 rows and 7
+    # running totals per 2**16-entry chunk) and n additions across degrees;
+    # every term is positive, so each rounding adds at most 2**-53 of the sum.
+    coeffs = np.random.default_rng(seed).standard_normal(1 << n) * 2.0**scale
+    coeffs[0] = c0
+    spectrum = FourierSpectrum(n, coeffs)
+    for epsilon in (0.001, 0.25, 0.5):
+        assert _float_bytes(constant_bound_check(spectrum, epsilon).bound) == _float_bytes(
+            epsilon * (1.0 - c0 * c0))
+    expected = math.fsum(np.square(coeffs))
+    roundings = 63 + 1023 + 7 * 2 ** max(0, n - 16) + n
+    assert abs(spectrum.total_weight() - expected) <= roundings * 2.0**-53 * expected
 
 
 def test_restriction_energy_parent_side_is_squared_in_float64():

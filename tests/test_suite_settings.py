@@ -1,5 +1,8 @@
-"""The suite's own settings: warnings fail a test without aborting the run."""
+"""The suite's own settings: warnings fail a test without aborting the run,
+and every source file parses at the declared Python floor."""
 
+import ast
+import re
 import subprocess
 import sys
 import textwrap
@@ -41,3 +44,16 @@ def test_failing_property_fails_without_aborting_the_suite(tmp_path):
     assert "INTERNALERROR" not in result.stdout + result.stderr
     assert result.stdout.splitlines()[-1].startswith("2 failed, 1 passed")
     assert "FAILED test_subject.py::test_other_deprecation_warning" in result.stdout
+
+
+def test_every_source_file_parses_at_the_python_floor():
+    # The floor is read with a regex: tomllib needs 3.11, past the floor.
+    floor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', _PYPROJECT.read_text(), re.M)
+    assert floor, "pyproject.toml declares no requires-python floor"
+    version = (int(floor[1]), int(floor[2]))
+    root = _PYPROJECT.parent
+    paths = [path for folder in ("src/hsf", "tests", "demos", "bench")
+             for path in sorted((root / folder).rglob("*.py"))]
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text(), filename=str(path), feature_version=version)
