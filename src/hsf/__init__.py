@@ -38,7 +38,7 @@ _HOME = {
         "gaussian_disagreement gaussian_ns_bound gaussian_ns_mc gaussian_tail "
         "hoeffding_radius ns_bruteforce ns_exact ns_mc regular_cdf_gap tail_ratio",
         "restriction": "NsAggregation RestrictionEnergy ThresholdCorollary bias_profile "
-        "ns_aggregation_check restrict restriction_energy_identity",
+        "ns_aggregation_check restriction_energy_identity",
     }.items()
     for name in names.split()
 }

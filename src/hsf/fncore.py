@@ -125,32 +125,50 @@ class FourierSpectrum:
 
     @functools.cached_property
     def degree_weights(self) -> np.ndarray:
-        """Read-only squared coefficient mass per degree, computed on first use.
+        """Read-only squared coefficient mass per degree, computed on first use."""
+        return _bits.read_only(_degree_weights(self.coefficients, self.arity))[0]
 
-        Each row of 2**low squares (low = min(arity, 6)) is summed per low-bit
-        popcount by float64 products with _LOW_DEGREE of at most 2**15 squares
-        each (under _MACS multiply-adds), then per row popcount by one
-        np.bincount per low degree, 2**16 squares at a time.  For a +-1 table's
-        spectrum every partial sum is a multiple of 4**-n of at most 1: exact
-        in any order for n <= 26.
-        """
-        n = self.arity
-        low = min(n, 6)
-        rows = self.coefficients.reshape(-1, 1 << low)
-        indicator = _LOW_DEGREE[:1 << low, :low + 1]
-        high = _bits.popcounts(n - low)
-        totals = np.zeros(n + 1)
-        step = _CHUNK >> low  # rows per np.bincount
-        span = min(step, len(rows), (_MACS // 8) >> low)  # rows per product
-        for lo in range(0, len(rows), step):
-            # Squared in float64: a float32 square of an integer above 2**12 rounds.
-            squares = np.square(rows[lo:lo + step], dtype=np.float64).reshape(-1, span, 1 << low)
-            by_low = np.matmul(squares, indicator).reshape(-1, low + 1)
-            del squares  # before the next chunk's squares exist
-            for d in range(low + 1):
-                totals[d:d + n - low + 1] += np.bincount(
-                    high[lo:lo + step], weights=by_low[:, d], minlength=n - low + 1)
-        return _bits.read_only(totals)
+
+def _degree_weights(coefficients: np.ndarray, m: int) -> np.ndarray:
+    """Squared coefficient mass per degree of each 2**m-entry block, a row each.
+
+    Each row of 2**low squares (low = min(m, 6)) is summed per low-bit
+    popcount by float64 products with _LOW_DEGREE of at most 2**15 squares
+    each (under _MACS multiply-adds), then per block and row popcount by one
+    np.bincount per low degree, 2**16 squares at a time.  For the spectrum of
+    a +-1 table on m variables every partial sum is a multiple of 4**-m of at
+    most 1: exact in any order for m <= 26.
+    """
+    low = min(m, 6)
+    k = m - low  # row bits per block
+    rows = coefficients.reshape(-1, 1 << low)
+    indicator = _LOW_DEGREE[:1 << low, :low + 1]
+    step = min(_CHUNK >> low, len(rows))  # rows per np.bincount
+    span = min(step, (_MACS // 8) >> low)  # rows per product
+    j = min(k, step.bit_length() - 1)  # row bits of a block that one chunk spans
+    # Bin of a chunk's row: m + 1 per block past the chunk's first, plus its popcount below j.
+    bins = np.add.outer(np.arange(step >> j) * (m + 1), _bits.popcounts(j)).reshape(-1)
+    totals = np.zeros((len(rows) >> k) * (m + 1))  # block b's weights from b * (m + 1) on
+    for lo in range(0, len(rows), step):
+        # Squared in float64: a float32 square of an integer above 2**12 rounds.
+        squares = np.square(rows[lo:lo + step], dtype=np.float64).reshape(-1, span, 1 << low)
+        by_low = np.matmul(squares, indicator).reshape(-1, low + 1)
+        del squares  # before the next chunk's squares exist
+        at = (lo >> k) * (m + 1) + (lo % (1 << k)).bit_count()  # first block, row bits from j up
+        for d in range(low + 1):
+            sums = np.bincount(bins, weights=by_low[:, d])
+            totals[at + d:at + d + len(sums)] += sums
+    return totals.reshape(-1, m + 1)
+
+
+def block_degree_weights(f: BooleanFunction, head: int) -> np.ndarray:
+    """``wht(g).degree_weights`` of f's restriction g to each head assignment, a row each
+    by packed index: one transform of a copy of the head cube's rows covers them all."""
+    positions = _bits.bit_positions(check_int("head", head, 0, (1 << f.arity) - 1))
+    m = check_cap("arity", f.arity - len(positions), MAX_ARITY_CAP)
+    # The copy is freed once transformed, before the weights are binned.
+    return _degree_weights(
+        _hadamard_coefficients(_bits.head_cube(f.values, positions, f.arity).reshape(-1), m), m)
 
 
 def _butterfly(a: np.ndarray) -> np.ndarray:
@@ -194,11 +212,11 @@ def _hadamard_pass(src: np.ndarray, dst: np.ndarray, h: np.ndarray, stride: int)
 
 
 def _hadamard_coefficients(values: np.ndarray, n: int) -> np.ndarray:
-    # Float32 Fourier coefficients of a 2**n-entry int8 table.  The first pass
-    # reads the table, and every later one runs in place in the result: a
-    # np.matmul whose output overlaps its input reads a copy of its slice, at
-    # most _CHUNK entries.  The last pass folds 2**-n into its matrix (exact:
-    # every sum is an integer of magnitude at most 2**24 times 2**-n).
+    # Float32 Fourier coefficients of each 2**n-entry block of an int8 table.
+    # The first pass reads the table, and every later one runs in place in the
+    # result: a np.matmul whose output overlaps its input reads a copy of its
+    # slice, at most _CHUNK entries.  The last pass folds 2**-n into its
+    # matrix (exact: every sum is an integer of magnitude at most 2**24 times 2**-n).
     widths = [64] * (n // 6)
     if n % 6 or not widths:
         widths.append(1 << n % 6)

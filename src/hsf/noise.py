@@ -142,16 +142,18 @@ def _flipped_pair(rng, m: int, n: int, epsilon: float) -> tuple[np.ndarray, np.n
 
 
 def ns_exact(spectrum: FourierSpectrum, epsilon: float) -> float:
-    """Noise sensitivity from the spectrum: 1/2 - 1/2 sum_d rho^d W_d.
+    """Noise sensitivity from the spectrum's degree weights by :func:`ns_rows`: for a
+    +-1 table, the same bits whatever the order of the table's coordinates."""
+    return float(ns_rows(spectrum.degree_weights[None], epsilon)[0])
 
-    The degree weights of a +-1 table's spectrum are exact, so the result is
-    the same bit for bit whatever the order of the table's coordinates.
-    """
+
+def ns_rows(weights: np.ndarray, epsilon: float) -> np.ndarray:
+    """1/2 - 1/2 sum_d rho^d W_d for each row of degree weights, one np.dot a
+    row: a matrix product may add in another order and move the last bit."""
     epsilon = check_range("epsilon", epsilon, 0, 1)
-    rho = 1.0 - 2.0 * epsilon
-    weights = spectrum.degree_weights
-    powers = rho ** np.arange(spectrum.arity + 1, dtype=np.float64)
-    return 0.5 - 0.5 * float(np.dot(powers, weights))
+    powers = (1.0 - 2.0 * epsilon) ** np.arange(weights.shape[1], dtype=np.float64)
+    return np.fromiter((0.5 - 0.5 * float(np.dot(powers, w)) for w in weights),
+                       dtype=np.float64, count=len(weights))
 
 
 def ns_bruteforce(f: BooleanFunction, epsilon: float) -> float:

@@ -1,10 +1,10 @@
 """Restrictions of truth tables and the identities they must satisfy.
 
 A restriction fixes the variables of a head set H (a bitmask) to +-1 values
-and leaves a function of the remaining variables, reindexed in ascending
-original order.  Assignments are enumerated by a packed index: bit j of the
-index refers to the j-th smallest head coordinate, and a set bit means that
-coordinate is fixed to -1, matching the global row convention.
+and leaves a function of the remaining variables in ascending original order.
+Assignments go by a packed index: bit j refers to the j-th smallest head
+coordinate, and a set bit fixes it to -1, as in a row index.  Row a of the
+head cube (``_bits.head_cube``) is the restriction to assignment a.
 
 Two exact identities connect a function to its restrictions and are exposed as
 checks: squared Fourier coefficients of restrictions average to coefficient
@@ -20,12 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _bits
-from .errors import InvalidInputError, check_cap, check_int, check_range
-from .fncore import BooleanFunction, wht
-from .noise import CHECK_TOL, ns_exact
-
-# Largest head whose 2**h restrictions ns_aggregation_check transforms one by one.
-HEAD_CAP = 16
+from .errors import InvalidInputError, check_int, check_range
+from .fncore import BooleanFunction, block_degree_weights, wht
+from .noise import CHECK_TOL, ns_exact, ns_rows
 
 
 def _check_head(head: int, arity: int) -> list[int]:
@@ -78,20 +75,6 @@ class NsAggregation:
         )
 
 
-def restrict(f: BooleanFunction, head: int, index: int) -> BooleanFunction:
-    """Truth table of f with the head coordinates fixed by a packed assignment.
-
-    Bit j of ``index`` fixes the j-th smallest head coordinate, a set bit to
-    -1.  Remaining variables keep their ascending original order.
-    """
-    head_pos = _check_head(head, f.arity)
-    h = len(head_pos)
-    index = check_int("index", index, 0, (1 << h) - 1)
-    # Fixing the head axes of the cube view leaves a view of the one block.
-    block = _bits.head_cube(f.values, head_pos, f.arity)[np.unravel_index(index, (2,) * h)]
-    return BooleanFunction(f.arity - h, block.reshape(-1))
-
-
 def bias_profile(f: BooleanFunction, head: int) -> np.ndarray:
     """E[f] conditioned on every head assignment, by packed index (read-only)."""
     head_pos = _check_head(head, f.arity)
@@ -136,11 +119,8 @@ def ns_aggregation_check(f: BooleanFunction, head: int, epsilon: float) -> NsAgg
     Restricting can only lower noise sensitivity on average; the result also
     carries the per-assignment values for threshold corollaries.
     """
-    h = check_cap("head size", len(_check_head(head, f.arity)), HEAD_CAP, "head cap")
-    restricted = np.empty(1 << h)
-    for a in range(1 << h):
-        g = restrict(f, head, a)
-        restricted[a] = ns_exact(wht(g), epsilon)
+    epsilon = check_range("epsilon", epsilon, 0, 1)
+    restricted = ns_rows(block_degree_weights(f, head), epsilon)  # checks the head first
     ns_value = ns_exact(wht(f), epsilon)
     restricted_mean = float(np.mean(restricted))
     return NsAggregation(

@@ -9,8 +9,9 @@ the input-order cube against mpmath's normal CDF.  The per-instance kernels
 (Walsh-Hadamard butterfly, linear-form table, popcounts, degree weights,
 restriction, bias profiles) are kept here in their original float64,
 blockwise and bit-loop forms, which the fast kernels must match byte for
-byte; the degree weights of arbitrary real spectra are held to one
-correctly rounded math.fsum per degree instead.
+byte, and so is the per-assignment noise sensitivity of restrictions, one
+gathered table, transform and ns_exact each; the degree weights of arbitrary
+real spectra are held to one correctly rounded math.fsum per degree instead.
 The bit-loop junta lift and table comparison are the oracle of the distances
 extractions report, and the verdict rule that rebuilt each case's bound from
 delta is the oracle of the verdicts.
@@ -21,7 +22,7 @@ import math
 import mpmath
 import numpy as np
 
-from hsf import linear_form
+from hsf import BooleanFunction, linear_form, ns_exact, wht
 
 # Extremes of tail(t) * (t + 1) * exp(t^2 / 2) over linspace(0, 10, 1001),
 # frozen from a calibration run and cross-checked against mpmath below.
@@ -201,6 +202,14 @@ def slow_restrict(values: np.ndarray, head: int, index: int, arity: int) -> np.n
     for j, c in enumerate(rest):
         rows |= ((sub >> j) & 1) << c
     return values[rows]
+
+
+def slow_restricted_ns(f, head: int, epsilon: float) -> np.ndarray:
+    """ns_exact of every restriction of f to the head, by packed assignment: one
+    slow_restrict, wht and ns_exact per assignment."""
+    h, m = head.bit_count(), f.arity - head.bit_count()
+    return np.array([ns_exact(wht(BooleanFunction(m, slow_restrict(f.values, head, a, f.arity))),
+                              epsilon) for a in range(1 << h)])
 
 
 def slow_spread_table(values: np.ndarray, positions, arity: int) -> np.ndarray:

@@ -154,12 +154,12 @@ def test_int_bounds_and_types():
 
 def test_cap_wording():
     assert check_cap("arity", 20, 20) == 20 and check_cap("arity", 3, np.int64(20)) == 3
-    with pytest.raises(InvalidInputError, match="^head cap must be an int, got 1.5$"):
-        check_cap("head size", 1, 1.5, "head cap")
+    with pytest.raises(InvalidInputError, match="^brute-force cap must be an int, got 1.5$"):
+        check_cap("arity", 1, 1.5, "brute-force cap")
     with pytest.raises(CapExceededError, match="^arity 21 exceeds cap 20$"):
         check_cap("arity", 21, 20)
-    with pytest.raises(CapExceededError, match="^head size 17 exceeds head cap 16$"):
-        check_cap("head size", 17, 16, "head cap")
+    with pytest.raises(CapExceededError, match="^arity 13 exceeds brute-force cap 12$"):
+        check_cap("arity", 13, 12, "brute-force cap")
 
 
 def test_cap_errors_are_raised_in_one_place():

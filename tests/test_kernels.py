@@ -1,7 +1,7 @@
 """Per-instance kernels against their slow routes, byte for byte, and aliasing.
 
 The fast kernels (truth tables built in 2**16-entry blocks, doubling
-popcounts, cube-view restriction, axis-sum bias profiles) promise the same
+popcounts, head-cube restrictions, axis-sum bias profiles) promise the same
 floating-point addition sequence, or the same gathered rows, as the slow
 routes in ``_oracles``, so equality is asserted on ``tobytes()``, never with a
 tolerance.  Arities reach 18 so the 2**16-entry chunking boundary is crossed,
@@ -18,8 +18,11 @@ sum is exact, and stay within their chain of roundings of one math.fsum per
 degree for arbitrary reals.  The total weight and the constant bound read
 those weights: for any real spectrum W_0 is the square of the empty-set
 coefficient bit for bit and the total stays within its rounding chain of a
-math.fsum, and every wht spectrum's total is exactly 1.0.  The table, the
-transform and the weights must stay within their memory bounds.  The
+math.fsum, and every wht spectrum's total is exactly 1.0.  The noise
+sensitivity of every head restriction, read from one transform of the head
+cube's rows, must equal one gathered table, transform and ns_exact per
+assignment at every head up to arity 7.  The table, the transform, the
+weights and the restrictions must stay within their memory bounds.  The
 distance an extraction reads from block counts must equal, byte for byte, the
 distance of its junta lifted to the full table by the bit-loop oracle, in
 every case.  A prepared instance is
@@ -61,7 +64,7 @@ from hsf import (
     random_ltf,
     regular_cdf_gap,
     regularity_profile,
-    restrict,
+    ns_aggregation_check,
     restriction_energy_identity,
     synthesize,
     theorem_verify,
@@ -69,7 +72,7 @@ from hsf import (
     wht,
 )
 from hsf._bits import bit_positions, head_sums, popcounts, submasks
-from hsf.fncore import _butterfly
+from hsf.fncore import _butterfly, block_degree_weights
 from hsf.noise import CHECK_TOL
 
 from _oracles import (
@@ -82,6 +85,7 @@ from _oracles import (
     slow_linear_form_table,
     slow_popcounts,
     slow_restrict,
+    slow_restricted_ns,
 )
 from test_head_routes import _weights_theta_delta
 
@@ -218,27 +222,43 @@ def test_prepared_degree_weights_match_single_bincount_at_chunk_edges(n, family)
     _check_prepared_degree_weights(lt, n)
 
 
-def _check_restrict(f, head, index):
-    got = restrict(f, head, index)
-    assert got.arity == f.arity - head.bit_count()
-    assert got.values.tobytes() == slow_restrict(f.values, head, index, f.arity).tobytes()
+def _check_restricted_ns(f, head, epsilon):
+    got = ns_aggregation_check(f, head, epsilon).restricted
+    assert got.tobytes() == slow_restricted_ns(f, head, epsilon).tobytes()
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_restrict_matches_gather(data):
+def test_restricted_ns_matches_per_assignment_oracle(data):
     arity = data.draw(st.integers(0, 12))
     head = data.draw(st.integers(0, (1 << arity) - 1))
-    index = data.draw(st.integers(0, (1 << head.bit_count()) - 1))
-    _check_restrict(random_function(arity, seed=data.draw(st.integers(0, 2**32 - 1))),
-                    head, index)
+    epsilon = data.draw(st.floats(0, 1))
+    _check_restricted_ns(random_function(arity, seed=data.draw(st.integers(0, 2**32 - 1))),
+                         head, epsilon)
 
 
-def test_restrict_matches_gather_on_every_head_and_assignment():
-    f = random_function(6, seed=11)
-    for head in range(1 << 6):
-        for index in range(1 << head.bit_count()):
-            _check_restrict(f, head, index)
+def test_restricted_ns_matches_per_assignment_oracle_on_every_head():
+    # Every head at n <= 7, the empty head and the whole head (m = 0) among them.
+    for n in range(8):
+        f = random_function(n, seed=11 + n)
+        for head in range(1 << n):
+            for epsilon in (0.0, 0.1, 0.5, 1.0):
+                _check_restricted_ns(f, head, epsilon)
+
+
+def test_block_degree_weights_are_each_restrictions_spectrum_weights():
+    n = 7
+    f = random_function(n, seed=5)
+    for head in range(1 << n):
+        rows = block_degree_weights(f, head)
+        m = n - head.bit_count()
+        assert rows.shape == (1 << head.bit_count(), m + 1)
+        for a, row in enumerate(rows):
+            g = BooleanFunction(m, slow_restrict(f.values, head, a, n))
+            assert row.tobytes() == wht(g).degree_weights.tobytes()
+    for head in (-1, 1 << n, 1.0):
+        with pytest.raises(hsf.InvalidInputError, match="^head must be"):
+            block_degree_weights(f, head)
 
 
 def test_submasks_are_every_submask_in_packed_order():
@@ -418,6 +438,24 @@ def test_wht_and_degree_weights_stay_within_memory_bounds():
         tracemalloc.stop()
     assert wht_peak <= 4 * (1 << n) + (1 << 20)
     assert max(fills) <= 1 << 20
+
+
+@pytest.mark.parametrize("h", [10, 16])
+def test_ns_aggregation_stays_within_memory_bound(h):
+    # One int8 copy of the head cube and its float32 block spectra, 5 bytes an
+    # entry, then a few float64 values per restriction: a float64 spectrum,
+    # a second cube copy, or a Python float per restriction breaks the bound.
+    n = 20
+    f = random_function(n, seed=h)
+    # Scattered, so the head cube is a transposed copy, not a view.
+    head = sum(1 << int(c) for c in np.random.default_rng(h).choice(n, h, replace=False))
+    tracemalloc.start()
+    try:
+        ns_aggregation_check(f, head, 0.1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * (1 << n) + 32 * (1 << h) + (1 << 20)
 
 
 @pytest.mark.parametrize("n", [0, 1, 3, 9, 14])
@@ -752,7 +790,8 @@ def test_sorted_position_instance_matches_input_order_table(wt):
     report = extract_junta(instance, epsilon, 0.9, c_l=1e6)
     assert report.case is JuntaCase.HEAD_JUNTA and report.junta_size == lt.n_active
     rest = ((1 << lt.n_inputs) - 1) ^ report.junta_set
-    assert report.approximator.values.tobytes() == restrict(table, rest, 0).values.tobytes()
+    assert report.approximator.values.tobytes() == slow_restrict(table.values, rest, 0,
+                                                                 lt.n_inputs).tobytes()
 
 
 def _count_head_reads(monkeypatch) -> list:

@@ -8,7 +8,6 @@ import pytest
 import hsf
 from hsf import (
     BooleanFunction,
-    CapExceededError,
     InvalidInputError,
     NsAggregation,
     bias_profile,
@@ -16,7 +15,6 @@ from hsf import (
     ns_aggregation_check,
     ns_exact,
     random_function,
-    restrict,
     restriction_energy_identity,
     wht,
 )
@@ -27,6 +25,8 @@ from _oracles import (
     point_of_row,
     slow_bias_profile,
     slow_embed_junta,
+    slow_restrict,
+    slow_restricted_ns,
 )
 
 
@@ -45,6 +45,10 @@ def _full_point(n, head, values, sub_row):
 
 class TestRestrict:
     def test_matches_pointwise_evaluation(self):
+        # Bit j of the packed index fixes the j-th smallest head coordinate,
+        # and a set bit means -1: the oracle's gathered table agrees with f
+        # point by point, and the aggregation check reports that table's
+        # noise sensitivity at the same index.
         rng = np.random.default_rng(71)
         for _ in range(8):
             n = int(rng.integers(2, 9))
@@ -52,26 +56,21 @@ class TestRestrict:
             head = int(rng.integers(1, 1 << n))
             h = head.bit_count()
             index = int(rng.integers(0, 1 << h))
-            # Bit j of the packed index fixes the j-th smallest head
-            # coordinate, and a set bit means -1.
             values = [-1 if (index >> j) & 1 else 1 for j in range(h)]
-            g = restrict(f, head, index)
-            assert g.arity == n - h
+            g = BooleanFunction(n - h, slow_restrict(f.values, head, index, n))
             for sub_row in range(g.values.size):
                 x = _full_point(n, head, values, sub_row)
                 assert g.values[sub_row] == f(x)
+            restricted = ns_aggregation_check(f, head, 0.1).restricted
+            assert restricted[index] == ns_exact(wht(g), 0.1)
 
     def test_head_mask_validation(self):
         f = random_function(3, seed=0)
         for head in (1 << 3, -1):
-            with pytest.raises(InvalidInputError, match=r"head must be in \[0, 7\]"):
-                restrict(f, head, 0)
-
-    @pytest.mark.parametrize("index", [-1, 1 << 2, True, 1.0])
-    def test_index_validation(self, index):
-        f = random_function(3, seed=0)
-        with pytest.raises(InvalidInputError, match="index"):
-            restrict(f, 0b101, index)
+            for route in (lambda: bias_profile(f, head),
+                          lambda: ns_aggregation_check(f, head, 0.1)):
+                with pytest.raises(InvalidInputError, match=r"head must be in \[0, 7\]"):
+                    route()
 
 
 class TestBiasProfile:
@@ -89,8 +88,8 @@ class TestBiasProfile:
             head = int(rng.integers(1, 1 << n))
             biases = bias_profile(f, head)
             for index in range(biases.size):
-                g = restrict(f, head, index)
-                assert biases[index] == pytest.approx(np.mean(g.values), abs=1e-15)
+                g = slow_restrict(f.values, head, index, n)
+                assert biases[index] == pytest.approx(np.mean(g), abs=1e-15)
 
     def test_head_past_sixteen(self):
         # No head cap: a 17-coordinate head reads every block, and so does
@@ -154,15 +153,35 @@ class TestAggregation:
                 ns_exact(wht(f), eps), abs=1e-15
             )
 
-    def test_head_cap_refuses_before_any_restriction(self, monkeypatch):
-        # The one head cap left guards time: one transform per assignment.
-        def no_restriction(*args, **kwargs):
-            raise AssertionError("restricted before the head cap check")
+    def test_checks_arguments_before_any_transform(self, monkeypatch):
+        # Every transform, of the parent or of the head cube's rows, goes
+        # through the one Kronecker routine.
+        def no_transform(*args, **kwargs):
+            raise AssertionError("transformed before the argument checks")
 
-        monkeypatch.setattr(hsf.restriction, "restrict", no_restriction)
+        monkeypatch.setattr(hsf.fncore, "_hadamard_coefficients", no_transform)
+        f = random_function(4, seed=2)
+        with pytest.raises(InvalidInputError, match=r"^epsilon must be in \[0, 1\], got 1.5$"):
+            ns_aggregation_check(f, 0b0101, 1.5)
+        with pytest.raises(InvalidInputError, match=r"^head must be in \[0, 15\], got 16$"):
+            ns_aggregation_check(f, 16, 0.1)
+
+    def test_whole_head_past_sixteen_restricts_to_constants(self):
+        # Every restriction to the whole head is a constant, whose noise
+        # sensitivity is 0 at any noise rate.
         f = random_function(17, seed=2)
-        with pytest.raises(CapExceededError, match="^head size 17 exceeds head cap 16$"):
-            ns_aggregation_check(f, (1 << 17) - 1, 0.1)
+        result = ns_aggregation_check(f, (1 << 17) - 1, 0.1)
+        assert result.restricted.size == 1 << 17
+        assert not np.any(result.restricted)
+        assert result.restricted_mean == 0.0 and result.holds
+
+    def test_scattered_head_past_sixteen_matches_oracle(self):
+        f = random_function(19, seed=3)
+        head = sum(1 << c for c in (0, 1, 3, 4, 6, 8, 9, 11, 12, 14, 15, 17, 18))
+        assert head.bit_count() == 13
+        result = ns_aggregation_check(f, head, 0.25)
+        assert result.restricted.tobytes() == slow_restricted_ns(f, head, 0.25).tobytes()
+        assert result.ns_value == ns_exact(wht(f), 0.25) and result.holds
 
     def test_threshold_corollary_fires_and_holds(self):
         agg = NsAggregation(
@@ -211,5 +230,5 @@ class TestEmbedJunta:
         assert is_junta_on(lifted, head)
         # Restricting the lifted function to any tail assignment recovers g.
         tail = ((1 << 5) - 1) & ~head
-        recovered = restrict(lifted, tail, 1)
-        assert np.array_equal(recovered.values, g.values)
+        recovered = slow_restrict(lifted.values, tail, 1, 5)
+        assert np.array_equal(recovered, g.values)
